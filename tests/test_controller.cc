@@ -120,6 +120,27 @@ TEST_F(ControllerTest, MgmtRegistersArePfOnly)
               util::ErrorCode::kPermissionDenied);
 }
 
+TEST_F(ControllerTest, MgmtStagingRegistersReadBack)
+{
+    // The staged CreateVf arguments are PF-readable like every other
+    // management latch, and PF-only like them.
+    ASSERT_TRUE(controller_.mmio_write(0, reg::kMgmtExtentRoot, 0x1234, 8)
+                    .is_ok());
+    ASSERT_TRUE(
+        controller_.mmio_write(0, reg::kMgmtDeviceSize, 77, 8).is_ok());
+    EXPECT_EQ(*controller_.mmio_read(0, reg::kMgmtExtentRoot, 8), 0x1234u);
+    EXPECT_EQ(*controller_.mmio_read(0, reg::kMgmtDeviceSize, 8), 77u);
+    create_vf({{0, 100, 1000}}, 100);
+    EXPECT_EQ(controller_.mmio_read(1, reg::kMgmtExtentRoot, 8)
+                  .status()
+                  .code(),
+              util::ErrorCode::kPermissionDenied);
+    EXPECT_EQ(controller_.mmio_read(1, reg::kMgmtDeviceSize, 8)
+                  .status()
+                  .code(),
+              util::ErrorCode::kPermissionDenied);
+}
+
 TEST_F(ControllerTest, VfLifecycle)
 {
     const auto fn = create_vf({{0, 64, 1000}}, 64);
