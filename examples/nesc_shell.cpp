@@ -301,9 +301,10 @@ class Shell {
     void
     ls(std::istringstream &in)
     {
-        std::string path;
-        if (!(in >> path))
-            path = "/";
+        // No argument leaves the default in place (extraction stops at
+        // end of line before touching the string).
+        std::string path("/");
+        in >> path;
         auto entries = bed_.hv_fs().readdir(path);
         if (!entries.is_ok()) {
             std::printf("ls: %s\n",

@@ -336,6 +336,57 @@ TEST(ControllerIntegrity, CleanPathRecordsAndVerifies)
     EXPECT_EQ(h.controller_.stats(vf).checksum_errors, 0u);
 }
 
+TEST(ControllerIntegrity, FailedChecksumWriteFailsTheBlockWrite)
+{
+    // The sidecar lives on the same media as the data. When the
+    // checksum write fails, the data write must not be acknowledged:
+    // after a restart the block could no longer be verified.
+    constexpr std::uint64_t kData = 256;
+    storage::MemBlockDevice media(IntegrityHarness::media(kData));
+    // Count the media operations formatting takes, so the injected
+    // fault lands on the first checksum write after it.
+    std::uint64_t format_ops = 0;
+    {
+        storage::FaultyBlockDevice probe(media, storage::FaultPlan{});
+        ASSERT_TRUE(storage::IntegrityMap::format(probe, kData).is_ok());
+        format_ops = probe.ops_seen();
+    }
+    storage::FaultPlan plan;
+    plan.schedule.push_back({format_ops, storage::InjectedFault::kWriteError});
+    storage::FaultyBlockDevice sidecar(media, plan);
+    auto map = storage::IntegrityMap::format(sidecar, kData);
+    ASSERT_TRUE(map.is_ok()) << map.status().to_string();
+
+    sim::Simulator sim;
+    pcie::HostMemory memory(8 << 20);
+    pcie::InterruptController irq(sim);
+    Controller controller(sim, memory, media, irq,
+                          IntegrityHarness::config());
+    pcie::BarPageRouter bar(controller, 4096, controller.num_functions());
+    controller.attach_integrity(map->get());
+    drv::FunctionDriver pf(sim, memory, bar, irq, pcie::kPhysicalFunctionId,
+                           drv::FunctionDriverConfig{});
+    ASSERT_TRUE(pf.init().is_ok());
+
+    auto buffer = memory.alloc(1024, 64);
+    ASSERT_TRUE(buffer.is_ok());
+    std::vector<CompletionStatus> completions;
+    ASSERT_TRUE(pf.submit(Opcode::kWrite, 5, 1, *buffer,
+                          [&](CompletionStatus s) {
+                              completions.push_back(s);
+                          })
+                    .is_ok());
+    sim.run_until_idle();
+    // The first attempt fails on the checksum write; the driver's
+    // retry records it cleanly.
+    EXPECT_EQ(sidecar.counters().get("write_media_errors"), 1u);
+    EXPECT_EQ(controller.stats(pcie::kPhysicalFunctionId).media_errors, 1u);
+    EXPECT_EQ(pf.retries(), 1u);
+    ASSERT_EQ(completions.size(), 1u);
+    EXPECT_EQ(completions[0], CompletionStatus::kOk);
+    controller.attach_integrity(nullptr);
+}
+
 TEST(ControllerIntegrity, PersistentDamageFailsWithChecksumError)
 {
     IntegrityHarness h;
@@ -537,8 +588,9 @@ TEST(ReplicatedIntegrity, LadderRepairsDamagedReplicaInline)
     ASSERT_TRUE(repairs.is_ok());
     // If the read happened to route to the undamaged backend no
     // mismatch fires; otherwise the ladder must have repaired.
-    if (*mismatches > 0)
+    if (*mismatches > 0) {
         EXPECT_GE(*repairs, 1u);
+    }
 
     // A follow-up scrub heals every remaining damaged copy.
     ASSERT_TRUE(pf.scrub_start().is_ok());
