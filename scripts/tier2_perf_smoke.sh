@@ -35,13 +35,13 @@ for bench in abl_btlb abl_walk_overlap abl_tree_depth abl_queue_depth \
   (cd "$run" && "$build/bench/$bench" > "$bench.out")
 done
 
-# PR6 (batched/sharded event loop): host-side simulator throughput on
+# PR6 (batched event loop): host-side simulator throughput on
 # the 8-VF QD16 workload must not collapse back toward the seed's
 # single-heap rate. Wall-clock, so the floors sit ~2x below what a
 # loaded reference machine measures to absorb CI jitter. The
 # bench_events_per_sec floor additionally sits ~3x above the seed
 # tree's measured whole-bench rate (~0.2e6), so reverting the
-# event-lane / arena / allocator work trips it even on a fast box.
+# event-heap / arena / allocator work trips it even on a fast box.
 python3 - "$run/BENCH_PR6.json" <<'EOF'
 import json
 import sys

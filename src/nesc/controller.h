@@ -133,14 +133,6 @@ struct ControllerConfig {
      */
     std::uint32_t max_command_blocks = 65536; // 64 MiB per command
     /**
-     * Simulator event-lane layout: 0 (default) gives every active
-     * function its own lane; N > 0 spreads functions over N shared
-     * lanes (fn modulo N). Purely a wall-clock/scaling knob — the
-     * simulator's global-sequence tie-break makes execution order
-     * independent of lane layout (see sim/simulator.h).
-     */
-    std::uint32_t event_lanes = 0;
-    /**
      * Descriptors fetched per fetch event (reg::kFetchBatch); the
      * fetch engine reschedules itself to continue longer drains.
      * 0 = drain the whole ring in one event (paper behaviour).
@@ -491,13 +483,6 @@ class Controller : public pcie::FunctionMmioDevice {
          * result derived from the stale tree.
          */
         std::uint64_t tree_generation = 0;
-        /**
-         * The function's simulator event lane. Default-lane until the
-         * function activates; FnReset keeps the lane, DeleteVf
-         * releases it (per-function mode) or leaves the shared lane
-         * alone (event_lanes > 0).
-         */
-        sim::LaneId lane = sim::Simulator::kDefaultLane;
         util::RingQueue<BlockOp> stalled_ops; ///< parked on a fault
         /** tag -> live command in cmd_arena_ (per-tag ops: abort). */
         util::FlatMap<CmdRef> pending;
@@ -705,10 +690,6 @@ class Controller : public pcie::FunctionMmioDevice {
     /** True when the fn is fully idle (nothing queued or in flight). */
     bool function_quiescent(pcie::FunctionId fn) const;
 
-    // Event-lane lifecycle (see ControllerConfig::event_lanes).
-    void assign_function_lane(FunctionContext &c, pcie::FunctionId fn);
-    void retire_function_lane(FunctionContext &c);
-
     FunctionContext &ctx(pcie::FunctionId fn) { return contexts_[fn]; }
 
     sim::Simulator &simulator_;
@@ -757,8 +738,6 @@ class Controller : public pcie::FunctionMmioDevice {
     sim::Arena<Qp> qp_arena_;
     /** Primary walks in flight, for MSHR attachment. */
     std::vector<WalkRef> inflight_walks_;
-    /** Shared event lanes when event_lanes > 0 (else empty). */
-    std::vector<sim::LaneId> shared_lanes_;
     /** Sorted ids of active VFs (DeleteVf audit + test introspection). */
     std::vector<pcie::FunctionId> active_vfs_;
     /** Grantable functions; turn-over scans this, never active_vfs_. */

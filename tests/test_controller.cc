@@ -613,5 +613,37 @@ TEST_F(ControllerTest, LargeCommandSplitIntoDeviceBlocks)
     EXPECT_EQ(controller_.stats(fn).blocks_read, 64u);
 }
 
+TEST_F(ControllerTest, HugeTimerPeriodsDoNotStarveIo)
+{
+    // A ~0 window or sampler period parks the weak tick at the end of
+    // time. A period that wrapped to "now" would re-arm the tick at the
+    // same instant forever, and the clock could never reach the I/O.
+    const auto fn = create_vf({{0, 8, 1000}}, 8);
+    auto driver = make_driver(fn);
+    bool completed = false;
+    auto buffer = host_memory_.alloc(1024, 64);
+    ASSERT_TRUE(buffer.is_ok());
+    ASSERT_TRUE(driver
+                    ->submit(Opcode::kRead, 0, 1, *buffer,
+                             [&](CompletionStatus s) {
+                                 EXPECT_EQ(s, CompletionStatus::kOk);
+                                 completed = true;
+                             })
+                    .is_ok());
+    // Armed while the read is in flight; the register writes take no
+    // simulated time, so nothing runs the clock before the drain.
+    ASSERT_TRUE(
+        controller_.mmio_write(0, reg::kObsWindowNs, ~0ULL, 8).is_ok());
+    ASSERT_TRUE(controller_.mmio_write(0, reg::kSamplerIntervalNs, ~0ULL, 8)
+                    .is_ok());
+    // Bounded, so a regression fails here instead of hanging.
+    for (int i = 0; i < 100'000 && !sim_.idle(); ++i)
+        sim_.step();
+    ASSERT_TRUE(sim_.idle());
+    sim_.run_until_idle();
+    EXPECT_TRUE(completed);
+    EXPECT_EQ(sim_.weak_pending(), 2u); // both ticks still armed
+}
+
 } // namespace
 } // namespace nesc::ctrl

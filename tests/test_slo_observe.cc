@@ -5,7 +5,7 @@
  * FlightRecorder (rings, postmortems), TimeSeriesSampler, the
  * Prometheus exposition, the PF-only observability register block and
  * its PfDriver helpers, plus the pinned LogHistogram percentile edge
- * cases and the simulator's timer-lane ordering invariance.
+ * cases.
  */
 #include <gtest/gtest.h>
 
@@ -481,83 +481,6 @@ TEST(Prometheus, HandleKeysRoundTrip)
     EXPECT_EQ(reg.counter_key(static_cast<obs::MetricsRegistry::Handle>(
                   reg.counter_count() + 100)),
               "");
-}
-
-// --- Simulator timer-lane invariance ----------------------------------
-
-TEST(TimerLane, FarEventsExecuteInGlobalTimeOrder)
-{
-    // Far-future events are parked on an internal lane; execution
-    // order must remain globally (when, seq) regardless.
-    sim::Simulator s;
-    const auto lane = s.register_lane();
-    std::vector<int> order;
-    s.schedule_in(2 * sim::Simulator::kTimerHorizon,
-                  [&]() { order.push_back(1); }); // parked
-    s.schedule_at_lane(lane, sim::Simulator::kTimerHorizon / 2,
-                       [&]() { order.push_back(0); });
-    s.schedule_in(3 * sim::Simulator::kTimerHorizon, [&]() {
-        order.push_back(2);
-        // Rescheduling from inside a parked event keeps working.
-        s.schedule_in(10, [&]() { order.push_back(3); });
-    });
-    s.run_until_idle();
-    ASSERT_EQ(order.size(), 4u);
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
-    EXPECT_EQ(s.now(), 3 * sim::Simulator::kTimerHorizon + 10);
-}
-
-TEST(TimerLane, TieOnWhenResolvesBySequence)
-{
-    sim::Simulator s;
-    std::vector<int> order;
-    const sim::Time when = 4 * sim::Simulator::kTimerHorizon;
-    // One parked, one scheduled near the deadline from a near event:
-    // both fire at the same instant; schedule order must win.
-    s.schedule_at(when, [&]() { order.push_back(0); }); // parked
-    s.schedule_at(when - 5, [&]() {
-        s.schedule_in(5, [&]() { order.push_back(1); }); // not parked
-    });
-    s.run_until_idle();
-    EXPECT_EQ(order, (std::vector<int>{0, 1}));
-}
-
-TEST(TimerLane, WeakEventsDoNotKeepTheSimulationAlive)
-{
-    // A self-rescheduling weak timer (the telemetry-plane idiom) ticks
-    // in global order while strong work remains, fires during
-    // run_until(), and never makes run_until_idle() spin.
-    sim::Simulator s;
-    int ticks = 0;
-    std::function<void()> tick = [&]() {
-        ++ticks;
-        s.schedule_weak_in(100, tick);
-    };
-    s.schedule_weak_in(100, tick);
-    int work = 0;
-    s.schedule_in(250, [&]() { ++work; });
-    EXPECT_FALSE(s.idle()); // strong event pending
-    s.run_until_idle();     // runs the two ticks before t=250, stops
-    EXPECT_EQ(work, 1);
-    EXPECT_EQ(ticks, 2);
-    EXPECT_TRUE(s.idle()); // armed weak timer does not count
-    EXPECT_EQ(s.weak_pending(), 1u);
-    s.run_until(s.now() + 1000); // deadline-driven runs still tick
-    EXPECT_EQ(ticks, 12);
-    EXPECT_TRUE(s.idle());
-}
-
-TEST(TimerLane, LaneCountExcludesTheInternalLane)
-{
-    sim::Simulator s;
-    EXPECT_EQ(s.lane_count(), 1u); // default lane only
-    const auto lane = s.register_lane();
-    EXPECT_EQ(s.lane_count(), 2u);
-    s.schedule_in(10 * sim::Simulator::kTimerHorizon, []() {});
-    EXPECT_EQ(s.lane_count(), 2u); // parking is not a registered lane
-    s.run_until_idle();
-    s.release_lane(lane);
-    EXPECT_EQ(s.lane_count(), 1u);
 }
 
 // --- Observability registers (controller + PfDriver) ------------------
