@@ -3,22 +3,10 @@
 #include <algorithm>
 #include <cstring>
 
+#include "util/journal_checksum.h"
 #include "util/units.h"
 
 namespace nesc::fs {
-
-namespace {
-
-std::uint64_t
-payload_checksum(std::span<const std::byte> data)
-{
-    std::uint64_t sum = 0;
-    for (std::byte b : data)
-        sum = sum * 131 + static_cast<std::uint64_t>(b);
-    return sum;
-}
-
-} // namespace
 
 Journal::Journal(blk::BlockIo &io, std::uint64_t start, std::uint64_t nblocks,
                  std::uint64_t next_txn_id)
@@ -81,7 +69,7 @@ Journal::commit_chunk(
     std::uint64_t checksum = 0;
     for (const auto &[target, data] : chunk) {
         (void)target;
-        checksum += payload_checksum(data);
+        checksum += util::journal_checksum(data);
         NESC_RETURN_IF_ERROR(
             io_.write_blocks(ring_block(cursor_++), 1, data));
     }
@@ -162,7 +150,7 @@ Journal::replay()
             payload[i].resize(kFsBlockSize);
             NESC_RETURN_IF_ERROR(
                 io_.read_blocks(ring_block(pos + 1 + i), 1, payload[i]));
-            checksum += payload_checksum(payload[i]);
+            checksum += util::journal_checksum(payload[i]);
         }
         NESC_RETURN_IF_ERROR(io_.read_blocks(
             ring_block(pos + 1 + header.count), 1, block));

@@ -4,22 +4,9 @@
 #include <cstring>
 #include <vector>
 
+#include "util/journal_checksum.h"
+
 namespace nesc::repl {
-
-namespace {
-
-// Same rolling checksum as the fs journal: cheap, order-sensitive,
-// and plenty to detect a torn payload in the simulator.
-std::uint64_t
-payload_checksum(std::span<const std::byte> data)
-{
-    std::uint64_t sum = 0;
-    for (std::byte b : data)
-        sum = sum * 131 + static_cast<std::uint64_t>(b);
-    return sum;
-}
-
-} // namespace
 
 JournaledBlockstore::JournaledBlockstore(storage::BlockDevice &media,
                                          std::uint64_t journal_blocks)
@@ -66,7 +53,7 @@ JournaledBlockstore::commit_txn(std::uint64_t first_block,
     std::uint64_t checksum = 0;
     for (std::uint64_t i = 0; i < count; ++i) {
         const auto payload = data.subspan(i * block_size_, block_size_);
-        checksum += payload_checksum(payload);
+        checksum += util::journal_checksum(payload);
         NESC_RETURN_IF_ERROR(
             media_.write(ring_offset(cursor_++), payload));
     }
@@ -178,7 +165,7 @@ JournaledBlockstore::recover()
             payload[i].resize(block_size_);
             NESC_RETURN_IF_ERROR(
                 media_.read(ring_offset(pos + 1 + i), payload[i]));
-            checksum += payload_checksum(payload[i]);
+            checksum += util::journal_checksum(payload[i]);
         }
         NESC_RETURN_IF_ERROR(
             media_.read(ring_offset(pos + 1 + header.count), block));

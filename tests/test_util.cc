@@ -1,13 +1,18 @@
 /**
  * @file
  * Unit tests for the util module: Status/Result, units, Rng, stats,
- * Table.
+ * Table, the journal checksum.
  */
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <span>
+#include <vector>
 
 #include "nesc/controller.h"
 #include "pcie/interrupts.h"
 #include "storage/mem_block_device.h"
+#include "util/journal_checksum.h"
 #include "util/log.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -130,6 +135,43 @@ TEST(Units, Rounding)
     EXPECT_TRUE(is_pow2(4096));
     EXPECT_FALSE(is_pow2(0));
     EXPECT_FALSE(is_pow2(24));
+}
+
+// --- Journal checksum ----------------------------------------------------
+
+/** Byte-serial form of the journal checksum. */
+std::uint64_t
+serial_journal_checksum(std::span<const std::byte> data)
+{
+    std::uint64_t sum = 0;
+    for (std::byte b : data)
+        sum = sum * 131 + static_cast<std::uint64_t>(b);
+    return sum;
+}
+
+TEST(JournalChecksum, MatchesByteSerialSumOnRandomLengths)
+{
+    Rng rng(131);
+    std::vector<std::byte> data(5000);
+    for (std::byte &b : data)
+        b = static_cast<std::byte>(rng.next());
+    // Every length 0-64 covers each tail length with zero to eight
+    // whole groups; random lengths up to 5000 cover long payloads and
+    // random starting offsets.
+    for (std::size_t len = 0; len <= 64; ++len) {
+        const std::span<const std::byte> span(data.data(), len);
+        EXPECT_EQ(journal_checksum(span), serial_journal_checksum(span))
+            << "length " << len;
+    }
+    for (int i = 0; i < 200; ++i) {
+        const std::size_t len = rng.next_below(5001);
+        const std::size_t start = rng.next_below(data.size() - len + 1);
+        const std::span<const std::byte> span(data.data() + start, len);
+        EXPECT_EQ(journal_checksum(span), serial_journal_checksum(span))
+            << "length " << len << " at " << start;
+    }
+    const std::vector<std::byte> ones(1024, std::byte{0xff});
+    EXPECT_EQ(journal_checksum(ones), serial_journal_checksum(ones));
 }
 
 // --- Rng ---------------------------------------------------------------
