@@ -5,10 +5,11 @@
  * (storage::IntegrityMap), extent-tree v2 node trailers, and nestfs
  * metadata block checksums.
  *
- * Table-driven (slicing-by-4) software implementation so the simulator
- * is bit-identical across hosts regardless of SSE4.2 availability; the
- * polynomial matches iSCSI/ext4/Btrfs so sidecar images are what real
- * storage stacks would persist.
+ * Table-driven slicing-by-8 software implementation (eight 1 KiB
+ * tables, eight input bytes per step) and the only path: there is no
+ * SSE4.2 dispatch, so the simulator is bit-identical across hosts. The polynomial matches
+ * iSCSI/ext4/Btrfs so sidecar images are what real storage stacks
+ * would persist.
  */
 #ifndef NESC_UTIL_CRC32C_H
 #define NESC_UTIL_CRC32C_H
