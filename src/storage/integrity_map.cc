@@ -17,6 +17,22 @@ header_crc(IntegrityHeader header)
     return util::crc32c(&header, sizeof(header));
 }
 
+/** True when all @p size bytes at @p data are zero (word-wise OR). */
+bool
+all_zero(const std::byte *data, std::size_t size)
+{
+    std::uint64_t bits = 0;
+    std::size_t i = 0;
+    for (; i + sizeof(bits) <= size; i += sizeof(bits)) {
+        std::uint64_t word;
+        std::memcpy(&word, data + i, sizeof(word));
+        bits |= word;
+    }
+    for (; i < size; ++i)
+        bits |= static_cast<std::uint64_t>(data[i]);
+    return bits == 0;
+}
+
 } // namespace
 
 IntegrityMap::IntegrityMap(BlockDevice &device, std::uint64_t data_blocks)
@@ -46,11 +62,21 @@ IntegrityMap::format(BlockDevice &device, std::uint64_t data_blocks)
 
     auto map = std::unique_ptr<IntegrityMap>(
         new IntegrityMap(device, data_blocks));
-    std::vector<std::byte> block(bs);
-    for (std::uint64_t plba = 0; plba < data_blocks; ++plba) {
-        NESC_RETURN_IF_ERROR(
-            device.read(plba * bs, std::span<std::byte>(block)));
-        map->table_[plba] = util::crc32c(block.data(), block.size());
+    // Media is mostly blank at format time, so a blank block gets the
+    // precomputed CRC of a zero block and only the rest are checksummed.
+    std::vector<std::byte> chunk(kFormatChunkBlocks * bs);
+    const std::uint32_t zero_crc = util::crc32c(chunk.data(), bs);
+    for (std::uint64_t first = 0; first < data_blocks;
+         first += kFormatChunkBlocks) {
+        const std::uint64_t count =
+            std::min(kFormatChunkBlocks, data_blocks - first);
+        NESC_RETURN_IF_ERROR(device.read(
+            first * bs, std::span<std::byte>(chunk.data(), count * bs)));
+        for (std::uint64_t i = 0; i < count; ++i) {
+            const std::byte *block = chunk.data() + i * bs;
+            map->table_[first + i] =
+                all_zero(block, bs) ? zero_crc : util::crc32c(block, bs);
+        }
     }
     NESC_RETURN_IF_ERROR(map->write_header());
     for (std::uint64_t plba = 0; plba < data_blocks;

@@ -46,6 +46,8 @@ class IntegrityMap {
   public:
     static constexpr std::uint64_t kMagic = 0x4e455343'43524332ULL;
     static constexpr std::uint32_t kVersion = 1;
+    /** Data blocks format() reads from the media per device read. */
+    static constexpr std::uint64_t kFormatChunkBlocks = 128;
 
     /**
      * Blocks the sidecar reserves at the media tail for @p data_blocks
@@ -58,7 +60,8 @@ class IntegrityMap {
      * Formats the sidecar over @p device: blocks [0, data_blocks) are
      * data, [data_blocks, data_blocks + sidecar_blocks) become the
      * checksum region. The current contents of every data block are
-     * checksummed, so pre-existing data verifies clean.
+     * checksummed, so pre-existing data verifies clean; blank blocks
+     * take the precomputed CRC of a zero block.
      */
     static util::Result<std::unique_ptr<IntegrityMap>>
     format(BlockDevice &device, std::uint64_t data_blocks);
