@@ -2,11 +2,16 @@
  * @file
  * google-benchmark microbenchmarks of the simulator's hot components:
  * extent-tree build/serialize, the software walker, the BTLB, the
- * event queue, host-memory allocation and nestfs data ops. These
- * measure wall-clock cost of the *model* (not simulated time) and
- * guard against performance regressions in the library itself.
+ * event queue, host-memory allocation, nestfs data ops, and the
+ * checksum kernels (CRC32C, the journal checksum, integrity sidecar
+ * format). These measure wall-clock cost of the *model* (not simulated
+ * time) and guard against performance regressions in the library
+ * itself.
  */
 #include <benchmark/benchmark.h>
+
+#include <memory>
+#include <vector>
 
 #include "blocklayer/device_block_io.h"
 #include "extent/tree_image.h"
@@ -15,7 +20,10 @@
 #include "nesc/btlb.h"
 #include "pcie/host_memory.h"
 #include "sim/simulator.h"
+#include "storage/integrity_map.h"
 #include "storage/mem_block_device.h"
+#include "util/crc32c.h"
+#include "util/journal_checksum.h"
 #include "util/rng.h"
 
 using namespace nesc;
@@ -132,6 +140,61 @@ BM_NestFsWrite4k(benchmark::State &state)
     state.SetBytesProcessed(state.iterations() * 4096);
 }
 BENCHMARK(BM_NestFsWrite4k);
+
+std::vector<std::byte>
+random_kib()
+{
+    std::vector<std::byte> data(1024);
+    util::Rng rng(4);
+    for (std::byte &b : data)
+        b = static_cast<std::byte>(rng.next());
+    return data;
+}
+
+void
+BM_Crc32c1KiB(benchmark::State &state)
+{
+    const std::vector<std::byte> data = random_kib();
+    for (auto _ : state)
+        benchmark::DoNotOptimize(util::crc32c(data));
+    state.SetBytesProcessed(state.iterations() * 1024);
+}
+BENCHMARK(BM_Crc32c1KiB);
+
+void
+BM_JournalChecksum1KiB(benchmark::State &state)
+{
+    const std::vector<std::byte> data = random_kib();
+    for (auto _ : state)
+        benchmark::DoNotOptimize(util::journal_checksum(data));
+    state.SetBytesProcessed(state.iterations() * 1024);
+}
+BENCHMARK(BM_JournalChecksum1KiB);
+
+/** Sidecar format over a fresh, never-written 81,920 x 1 KiB device. */
+void
+BM_IntegrityFormatBlank(benchmark::State &state)
+{
+    constexpr std::uint64_t kDataBlocks = 81'920;
+    storage::MemBlockDeviceConfig cfg;
+    cfg.capacity_bytes =
+        (kDataBlocks +
+         storage::IntegrityMap::sidecar_blocks(kDataBlocks, 1024)) *
+        1024;
+    std::unique_ptr<storage::MemBlockDevice> device;
+    for (auto _ : state) {
+        // A fresh device per iteration, so the first-touch page faults
+        // of reading blank media are timed as in a testbed's set-up.
+        state.PauseTiming();
+        device.reset();
+        device = std::make_unique<storage::MemBlockDevice>(cfg);
+        state.ResumeTiming();
+        benchmark::DoNotOptimize(
+            storage::IntegrityMap::format(*device, kDataBlocks));
+    }
+    state.SetItemsProcessed(state.iterations() * kDataBlocks);
+}
+BENCHMARK(BM_IntegrityFormatBlank)->Unit(benchmark::kMillisecond);
 
 } // namespace
 
