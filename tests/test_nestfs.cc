@@ -6,7 +6,10 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <sstream>
 
 #include "blocklayer/device_block_io.h"
 #include "fs/extent_map.h"
@@ -652,6 +655,313 @@ TEST_F(NestFsTest, RandomOpsMatchReferenceModel)
                 reference[i] = std::byte{0};
         }
     }
+}
+
+// --- allocate_range layout ---------------------------------------------------
+//
+// Each scenario provisions files on a fresh volume with allocate_range
+// only. The golden pins, per scenario and journal mode, every file's
+// extent list, the allocation bitmap as the filesystem sees it, the
+// free-block count and the whole volume after sync(), so a faster
+// allocator must reproduce the same layout byte for byte.
+
+/** FNV-1a over 64-bit words, least-significant byte first. */
+struct Digest {
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+
+    void
+    add(std::uint64_t word)
+    {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (word >> (8 * i)) & 0xff;
+            h *= 0x100000001b3ULL;
+        }
+    }
+
+    void
+    add_bytes(std::span<const std::byte> bytes)
+    {
+        for (std::size_t i = 0; i < bytes.size(); i += 8) {
+            std::uint64_t word = 0;
+            for (std::size_t j = 0; j < 8 && i + j < bytes.size(); ++j)
+                word |= std::to_integer<std::uint64_t>(bytes[i + j])
+                        << (8 * j);
+            add(word);
+        }
+    }
+};
+
+/** A 32 MiB volume (32 Ki blocks, four bitmap blocks) and its files. */
+struct AllocVolume {
+    explicit AllocVolume(JournalMode mode)
+        : device(fast_device(32 << 20)), io(sim, device)
+    {
+        NestFsConfig config;
+        config.journal_mode = mode;
+        auto formatted = NestFs::format(io, config);
+        EXPECT_TRUE(formatted.is_ok()) << formatted.status().to_string();
+        fs = std::move(formatted).value();
+    }
+
+    InodeId
+    create(const std::string &path)
+    {
+        auto ino = fs->create(path, 0644);
+        EXPECT_TRUE(ino.is_ok()) << ino.status().to_string();
+        paths.push_back(path);
+        return ino.is_ok() ? *ino : kInvalidInode;
+    }
+
+    void
+    allocate(InodeId ino, std::uint64_t first, std::uint64_t n)
+    {
+        const util::Status s = fs->allocate_range(ino, first, n);
+        EXPECT_TRUE(s.is_ok()) << s.to_string();
+    }
+
+    void
+    truncate_blocks(InodeId ino, std::uint64_t nblocks)
+    {
+        EXPECT_TRUE(fs->truncate(ino, nblocks * kFsBlockSize).is_ok());
+    }
+
+    sim::Simulator sim;
+    storage::MemBlockDevice device;
+    blk::DeviceBlockIo io;
+    std::unique_ptr<NestFs> fs;
+    std::vector<std::string> paths; ///< files in creation order
+};
+
+// A fresh volume: one 16 Ki-block range.
+void
+scenario_fresh(AllocVolume &v)
+{
+    v.allocate(v.create("/fresh"), 0, 16 * 1024);
+}
+
+// Alternating 1-block allocations, truncates that punch holes between
+// the survivors, then large ranges laid over the fragments.
+void
+scenario_fragmented(AllocVolume &v)
+{
+    const InodeId a = v.create("/a");
+    const InodeId b = v.create("/b");
+    for (std::uint64_t vb = 0; vb < 300; ++vb) {
+        v.allocate(a, vb, 1);
+        v.allocate(b, vb, 1);
+    }
+    v.truncate_blocks(b, 100); // 1-block holes between a's blocks
+    v.truncate_blocks(a, 250);
+    const InodeId c = v.create("/c");
+    v.allocate(c, 0, 5000);     // goal 0: through every hole
+    v.allocate(a, 1000, 3000);  // hole before the range: goal 0
+    v.allocate(b, 100, 500);    // continues after b's last block
+    v.allocate(a, 250, 40);     // continues after a's block 249
+}
+
+// A range whose both ends are already mapped, with another file's
+// blocks after the first mapped piece.
+void
+scenario_overlap(AllocVolume &v)
+{
+    const InodeId f = v.create("/f");
+    const InodeId g = v.create("/g");
+    v.allocate(f, 0, 10);
+    v.allocate(g, 0, 7);
+    v.allocate(f, 50, 10);
+    v.allocate(g, 7, 3);
+    v.allocate(f, 5, 50); // maps [10, 50) only
+    v.allocate(f, 100, 20);
+    v.allocate(f, 58, 70); // maps [60, 100) and [120, 128)
+}
+
+// The goal sits 100 blocks before the volume end, so the range takes
+// the tail and continues from data_start. Then a goal whose block and
+// everything after it are allocated: the scan wraps to data_start.
+void
+scenario_wrap(AllocVolume &v)
+{
+    const InodeId low = v.create("/low");
+    const InodeId high = v.create("/high");
+    auto high_end = [&] {
+        return v.fs->stat(high)->size_bytes / kFsBlockSize;
+    };
+    v.allocate(low, 0, 2000);
+    v.allocate(high, 0, v.fs->free_blocks() - 100);
+    v.truncate_blocks(low, 500); // frees low's [500, 2000)
+    v.allocate(high, high_end(), 1200);
+    v.truncate_blocks(low, 100); // frees low's [100, 500)
+    v.allocate(high, high_end(), 600);
+}
+
+struct AllocScenario {
+    const char *name;
+    void (*run)(AllocVolume &);
+};
+
+constexpr AllocScenario kAllocScenarios[] = {
+    {"fresh", scenario_fresh},
+    {"fragmented", scenario_fragmented},
+    {"overlap", scenario_overlap},
+    {"wrap", scenario_wrap},
+};
+
+constexpr JournalMode kAllocModes[] = {JournalMode::kMetadata,
+                                       JournalMode::kNone};
+
+const char *
+mode_name(JournalMode mode)
+{
+    return mode == JournalMode::kNone ? "none" : "metadata";
+}
+
+/** One golden line: the scenario's layout, digested. */
+std::string
+layout_fingerprint(const AllocScenario &scenario, JournalMode mode)
+{
+    AllocVolume v(mode);
+    scenario.run(v);
+    NestFs &fs = *v.fs;
+
+    Digest maps;
+    std::uint64_t extents = 0;
+    for (const std::string &path : v.paths) {
+        auto ino = fs.resolve(path);
+        EXPECT_TRUE(ino.is_ok()) << path;
+        auto list = fs.fiemap(*ino);
+        EXPECT_TRUE(list.is_ok()) << path;
+        maps.add(list->size());
+        for (const extent::Extent &e : *list) {
+            maps.add(e.first_vblock);
+            maps.add(e.nblocks);
+            maps.add(e.first_pblock);
+        }
+        extents += list->size();
+    }
+
+    // The bitmap as the filesystem sees it: staged blocks win over
+    // the media, and every bitmap change is staged (or, without a
+    // journal, written through).
+    const SuperBlock &sb = fs.superblock();
+    Digest bitmap;
+    std::vector<std::byte> block(kFsBlockSize);
+    for (std::uint64_t i = 0; i < sb.bitmap_blocks; ++i) {
+        EXPECT_TRUE(
+            fs.journal().read_through(sb.bitmap_start + i, block).is_ok());
+        bitmap.add_bytes(block);
+    }
+    const std::uint64_t free_blocks = fs.free_blocks();
+    const std::uint64_t allocated = fs.counters().get("blocks_allocated");
+
+    EXPECT_TRUE(fs.sync().is_ok());
+    Digest media;
+    constexpr std::uint64_t kChunk = 1024;
+    std::vector<std::byte> chunk(kChunk * kFsBlockSize);
+    for (std::uint64_t b = 0; b < sb.total_blocks; b += kChunk) {
+        const std::uint64_t n = std::min(kChunk, sb.total_blocks - b);
+        std::span<std::byte> out(chunk.data(), n * kFsBlockSize);
+        EXPECT_TRUE(v.io.read_blocks(b, n, out).is_ok());
+        media.add_bytes(out);
+    }
+
+    char line[256];
+    std::snprintf(
+        line, sizeof line,
+        "%s %s extents %llu maps %016llx bitmap %016llx free %llu "
+        "allocated %llu media %016llx\n",
+        mode_name(mode), scenario.name,
+        static_cast<unsigned long long>(extents),
+        static_cast<unsigned long long>(maps.h),
+        static_cast<unsigned long long>(bitmap.h),
+        static_cast<unsigned long long>(free_blocks),
+        static_cast<unsigned long long>(allocated),
+        static_cast<unsigned long long>(media.h));
+    return line;
+}
+
+TEST(NestFsAllocGolden, LayoutMatchesGolden)
+{
+    std::string actual;
+    for (JournalMode mode : kAllocModes)
+        for (const AllocScenario &scenario : kAllocScenarios)
+            actual += layout_fingerprint(scenario, mode);
+    std::ifstream golden_file(NESC_NESTFS_ALLOC_GOLDEN);
+    std::stringstream golden;
+    golden << golden_file.rdbuf();
+    if (golden.str() == actual)
+        return;
+    std::ofstream("nestfs_alloc.actual.txt") << actual;
+    ADD_FAILURE() << "allocation layout drifted from "
+                  << NESC_NESTFS_ALLOC_GOLDEN << "\n--- golden\n"
+                  << golden.str()
+                  << "--- actual (also in nestfs_alloc.actual.txt)\n"
+                  << actual;
+}
+
+TEST(NestFsAllocScenarios, FsckCleanAfterEveryScenario)
+{
+    for (JournalMode mode : kAllocModes) {
+        for (const AllocScenario &scenario : kAllocScenarios) {
+            AllocVolume v(mode);
+            scenario.run(v);
+            auto report = v.fs->fsck();
+            ASSERT_TRUE(report.is_ok());
+            EXPECT_TRUE(report->clean)
+                << mode_name(mode) << " " << scenario.name << ": "
+                << (report->errors.empty() ? "" : report->errors.front());
+            EXPECT_EQ(report->leaked_blocks, 0u) << scenario.name;
+        }
+    }
+}
+
+TEST(NestFsAllocScenarios, RemountRoundTripsExtents)
+{
+    for (JournalMode mode : kAllocModes) {
+        for (const AllocScenario &scenario : kAllocScenarios) {
+            AllocVolume v(mode);
+            scenario.run(v);
+            std::vector<extent::ExtentList> before;
+            for (const std::string &path : v.paths)
+                before.push_back(*v.fs->fiemap(*v.fs->resolve(path)));
+            const std::uint64_t free_before = v.fs->free_blocks();
+            ASSERT_TRUE(v.fs->unmount().is_ok());
+            v.fs.reset();
+
+            auto remounted = NestFs::mount(v.io);
+            ASSERT_TRUE(remounted.is_ok()) << remounted.status().to_string();
+            NestFs &fs = **remounted;
+            EXPECT_EQ(fs.free_blocks(), free_before) << scenario.name;
+            for (std::size_t i = 0; i < v.paths.size(); ++i) {
+                auto ino = fs.resolve(v.paths[i]);
+                ASSERT_TRUE(ino.is_ok()) << v.paths[i];
+                EXPECT_EQ(*fs.fiemap(*ino), before[i])
+                    << mode_name(mode) << " " << scenario.name << " "
+                    << v.paths[i];
+            }
+            auto report = fs.fsck();
+            ASSERT_TRUE(report.is_ok());
+            EXPECT_TRUE(report->clean) << scenario.name;
+        }
+    }
+}
+
+TEST_F(NestFsTest, AllocateRangeOutOfSpaceMidRange)
+{
+    storage::MemBlockDevice dev(fast_device(1 << 20)); // 1 MiB volume
+    blk::DeviceBlockIo io(sim_, dev);
+    auto fs = NestFs::format(io);
+    ASSERT_TRUE(fs.is_ok());
+    auto ino = (*fs)->create("/huge", 0644);
+    ASSERT_TRUE(ino.is_ok());
+    // The range is mapped at both ends already, so the allocator runs
+    // dry in the middle of a gap.
+    ASSERT_TRUE((*fs)->allocate_range(*ino, 0, 4).is_ok());
+    ASSERT_TRUE((*fs)->allocate_range(*ino, 2000, 4).is_ok());
+    const std::uint64_t free_before = (*fs)->free_blocks();
+    ASSERT_LT(free_before, 1996u);
+    EXPECT_EQ((*fs)->allocate_range(*ino, 0, 2004).code(),
+              util::ErrorCode::kResourceExhausted);
+    EXPECT_EQ((*fs)->free_blocks(), 0u);
 }
 
 } // namespace
