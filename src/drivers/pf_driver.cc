@@ -711,8 +711,7 @@ PfDriver::service_fault(pcie::FunctionId fn)
         if (config_.allocation_batch_blocks > nblocks)
             nblocks = config_.allocation_batch_blocks;
         NESC_RETURN_IF_ERROR(fs_->allocate_range(info.backing_file,
-                                                first_vblock, nblocks,
-                                                /*zero_fill=*/false));
+                                                first_vblock, nblocks));
     }
     NESC_RETURN_IF_ERROR(rebuild_tree(fn));
     NESC_RETURN_IF_ERROR(reg_write(fn, ctrl::reg::kRewalkTree, 1));

@@ -46,6 +46,15 @@ map_lookup(const ExtentList &extents, Vlba vblock)
     return e->translate(vblock);
 }
 
+std::optional<Vlba>
+map_next_mapped(const ExtentList &extents, Vlba vblock)
+{
+    const std::size_t i = upper_index(extents, vblock);
+    if (i == extents.size())
+        return std::nullopt;
+    return std::max(extents[i].first_vblock, vblock);
+}
+
 void
 map_insert_extent(ExtentList &extents, const Extent &e)
 {

@@ -29,6 +29,10 @@ std::optional<extent::Plba> map_lookup(const extent::ExtentList &extents,
 std::optional<extent::Extent>
 map_lookup_extent(const extent::ExtentList &extents, extent::Vlba vblock);
 
+/** First mapped file block at or after @p vblock, if any. */
+std::optional<extent::Vlba> map_next_mapped(const extent::ExtentList &extents,
+                                            extent::Vlba vblock);
+
 /**
  * Inserts the single-block mapping vblock -> pblock, coalescing with a
  * neighbouring extent when both the logical and physical addresses are

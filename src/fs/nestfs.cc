@@ -69,11 +69,9 @@ NestFs::format(blk::BlockIo &io, const NestFsConfig &config)
 
     // In-memory bitmap: metadata region pre-allocated.
     fs->bitmap_.assign(sb.bitmap_blocks * kFsBlockSize, 0);
-    for (std::uint64_t b = 0; b < sb.data_start; ++b)
-        fs->bitmap_set(b, true);
+    fs->bitmap_fill(0, sb.data_start);
     fs->free_block_count_ = total_blocks - sb.data_start;
-    for (std::uint64_t b = 0; b < sb.bitmap_blocks; ++b)
-        fs->stage_bitmap_block(b * 8 * kFsBlockSize);
+    fs->stage_bitmap_blocks(0, total_blocks);
 
     // Free inodes (root is 1 and allocated below).
     for (InodeId ino = config.inode_count; ino >= 2; --ino)
@@ -408,34 +406,54 @@ NestFs::bitmap_set(std::uint64_t block, bool value)
             static_cast<std::uint8_t>(~(1u << (block % 8)));
 }
 
-std::uint64_t
-NestFs::scan_free_bitmap(std::uint64_t from, std::uint64_t limit) const
+void
+NestFs::bitmap_fill(std::uint64_t first, std::uint64_t count)
 {
+    std::uint64_t b = first;
+    const std::uint64_t end = first + count;
+    // Head and tail bit by bit; whole bytes in between in one memset.
+    while (b < end && (b % 8) != 0)
+        bitmap_set(b++, true);
+    const std::uint64_t whole = (end - b) / 8;
+    std::memset(bitmap_.data() + b / 8, 0xFF, whole);
+    b += whole * 8;
+    while (b < end)
+        bitmap_set(b++, true);
+}
+
+std::uint64_t
+NestFs::scan_bitmap(std::uint64_t from, std::uint64_t limit,
+                    bool allocated) const
+{
+    // XOR with the bits being skipped turns the sought bits into ones;
+    // an all-skip word or byte compares the same on any endianness.
+    const std::uint8_t skip_byte = allocated ? 0x00 : 0xFF;
+    const std::uint64_t skip_word = allocated ? 0 : ~std::uint64_t{0};
     std::uint64_t b = from;
     // Head: finish the partial byte bit by bit.
     while (b < limit && (b % 8) != 0) {
-        if (!bitmap_get(b))
+        if (bitmap_get(b) == allocated)
             return b;
         ++b;
     }
-    // Body: skip fully-allocated 64-bit words (all-ones compares the
-    // same on any endianness), then land on the first non-full byte.
+    // Body: skip whole 64-bit words, then land on the first byte that
+    // holds a sought bit.
     while (b + 64 <= limit) {
         std::uint64_t word;
         std::memcpy(&word, bitmap_.data() + b / 8, sizeof(word));
-        if (word != ~std::uint64_t{0})
+        if (word != skip_word)
             break;
         b += 64;
     }
     while (b + 8 <= limit) {
-        const std::uint8_t byte = bitmap_[b / 8];
-        if (byte != 0xFF)
-            return b + std::countr_one(byte);
+        const std::uint8_t byte = bitmap_[b / 8] ^ skip_byte;
+        if (byte != 0)
+            return b + std::countr_zero(byte);
         b += 8;
     }
     // Tail: partial final byte.
     while (b < limit) {
-        if (!bitmap_get(b))
+        if (bitmap_get(b) == allocated)
             return b;
         ++b;
     }
@@ -443,16 +461,21 @@ NestFs::scan_free_bitmap(std::uint64_t from, std::uint64_t limit) const
 }
 
 void
-NestFs::stage_bitmap_block(std::uint64_t block)
+NestFs::stage_bitmap_blocks(std::uint64_t first, std::uint64_t count)
 {
-    const std::uint64_t index = block / (8ULL * kFsBlockSize);
-    const std::byte *src =
-        reinterpret_cast<const std::byte *>(bitmap_.data()) +
-        index * kFsBlockSize;
-    // Staging through meta_write keeps the on-disk bitmap transactional;
-    // with journaling off it writes through immediately.
-    (void)meta_write(super_.bitmap_start + index,
-                     std::span<const std::byte>(src, kFsBlockSize));
+    constexpr std::uint64_t kBitsPerBlock = 8ULL * kFsBlockSize;
+    const std::uint64_t last = (first + count - 1) / kBitsPerBlock;
+    for (std::uint64_t index = first / kBitsPerBlock; index <= last;
+         ++index) {
+        const std::byte *src =
+            reinterpret_cast<const std::byte *>(bitmap_.data()) +
+            index * kFsBlockSize;
+        // Staging through meta_write keeps the on-disk bitmap
+        // transactional; with journaling off it writes through
+        // immediately.
+        (void)meta_write(super_.bitmap_start + index,
+                         std::span<const std::byte>(src, kFsBlockSize));
+    }
 }
 
 util::Result<Plba>
@@ -478,20 +501,20 @@ NestFs::alloc_run(Plba goal, std::uint64_t want)
     // fully-allocated regions a 64-bit bitmap word at a time — on a
     // fragmented volume the bit-by-bit probe made every allocation
     // O(allocated blocks), which dominated whole-volume setup.
-    Plba b = scan_free_bitmap(start, super_.total_blocks);
+    Plba b = scan_bitmap(start, super_.total_blocks, false);
     if (b == super_.total_blocks)
-        b = scan_free_bitmap(super_.data_start, start);
+        b = scan_bitmap(super_.data_start, start, false);
     if (b == start && bitmap_get(b))
         return util::resource_exhausted_error("volume out of blocks");
-    // Extend the run as far as free and wanted.
-    std::uint64_t len = 1;
-    while (len < want && b + len < super_.total_blocks &&
-           !bitmap_get(b + len))
-        ++len;
-    for (std::uint64_t i = 0; i < len; ++i) {
-        bitmap_set(b + i, true);
-        stage_bitmap_block(b + i);
-    }
+    // The run ends at the first allocated block, the volume end or the
+    // wanted length, whichever comes first. Chaining the next call's
+    // goal at its end picks exactly the blocks a block-at-a-time
+    // allocator would.
+    const std::uint64_t limit =
+        want < super_.total_blocks - b ? b + want : super_.total_blocks;
+    const std::uint64_t len = scan_bitmap(b + 1, limit, true) - b;
+    bitmap_fill(b, len);
+    stage_bitmap_blocks(b, len);
     free_block_count_ -= len;
     counters_["blocks_allocated"] += len;
     return std::pair<Plba, std::uint64_t>(b, len);
@@ -509,7 +532,7 @@ NestFs::free_block_range(Plba first, std::uint64_t count)
             return util::internal_error("double free of block " +
                                         std::to_string(b));
         bitmap_set(b, false);
-        stage_bitmap_block(b);
+        stage_bitmap_blocks(b, 1);
         ++free_block_count_;
     }
     counters_["blocks_freed"] += count;

@@ -185,14 +185,14 @@ class NestFs {
 
     /**
      * fallocate-style explicit allocation of [first_vblock,
-     * +nblocks), used when servicing a NeSC write-miss interrupt.
-     * With @p zero_fill false the blocks are mapped but not zeroed,
-     * modelling ext4 unwritten extents (the device overwrites them
-     * immediately).
+     * +nblocks), used to provision images and to service NeSC
+     * write-miss interrupts. Each unmapped gap is allocated a run at a
+     * time, first-fit from the block after the gap's predecessor. The
+     * blocks are mapped but not zeroed, modelling ext4 unwritten
+     * extents (the device overwrites them immediately).
      */
     util::Status allocate_range(InodeId ino, std::uint64_t first_vblock,
-                                std::uint64_t nblocks,
-                                bool zero_fill = false);
+                                std::uint64_t nblocks);
 
     // --- Consistency checking --------------------------------------------
 
@@ -269,10 +269,16 @@ class NestFs {
     util::Status free_block_range(extent::Plba first, std::uint64_t count);
     bool bitmap_get(std::uint64_t block) const;
     void bitmap_set(std::uint64_t block, bool value);
-    /** First free block in [from, limit), or @p limit if none. */
-    std::uint64_t scan_free_bitmap(std::uint64_t from,
-                                   std::uint64_t limit) const;
-    void stage_bitmap_block(std::uint64_t block);
+    /** Marks [first, first + count) allocated, a byte at a time. */
+    void bitmap_fill(std::uint64_t first, std::uint64_t count);
+    /**
+     * First block in [from, limit) whose bit equals @p allocated, or
+     * @p limit if none.
+     */
+    std::uint64_t scan_bitmap(std::uint64_t from, std::uint64_t limit,
+                              bool allocated) const;
+    /** Stages each bitmap block covering [first, first + count) once. */
+    void stage_bitmap_blocks(std::uint64_t first, std::uint64_t count);
 
     // Directory helpers.
     util::Result<InodeId> dir_lookup(InodeId dir, std::string_view name);
@@ -288,7 +294,7 @@ class NestFs {
     };
     util::Result<ResolvedParent> resolve_parent(std::string_view path);
 
-    // Data-path helper shared by write() and allocate_range().
+    // Data-path helper for write() and directory growth.
     util::Status ensure_allocated(CachedInode &inode, std::uint64_t vblock,
                                   bool zero_fill);
 

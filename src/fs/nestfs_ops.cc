@@ -691,12 +691,33 @@ NestFs::fiemap(InodeId ino)
 
 util::Status
 NestFs::allocate_range(InodeId ino, std::uint64_t first_vblock,
-                       std::uint64_t nblocks, bool zero_fill)
+                       std::uint64_t nblocks)
 {
     NESC_ASSIGN_OR_RETURN(CachedInode * inode, load_inode(ino));
     NESC_RETURN_IF_ERROR(load_extents(*inode));
-    for (std::uint64_t vb = first_vblock; vb < first_vblock + nblocks; ++vb)
-        NESC_RETURN_IF_ERROR(ensure_allocated(*inode, vb, zero_fill));
+    ExtentList &extents = inode->extents;
+    const std::uint64_t end = first_vblock + nblocks;
+    std::uint64_t vb = first_vblock;
+    while (vb < end) {
+        if (auto mapped = map_lookup_extent(extents, vb)) {
+            vb = mapped->end_vblock();
+            continue;
+        }
+        // An unmapped gap, up to the next mapped block or the range
+        // end. Its goal is the block after its predecessor's, as in
+        // ensure_allocated; each run's successor chains from its end.
+        const std::uint64_t gap_end =
+            std::min(end, map_next_mapped(extents, vb).value_or(end));
+        Plba goal = 0;
+        if (auto prev = map_lookup(extents, vb ? vb - 1 : 0))
+            goal = *prev + 1;
+        while (vb < gap_end) {
+            NESC_ASSIGN_OR_RETURN(auto run, alloc_run(goal, gap_end - vb));
+            map_insert_extent(extents, Extent{vb, run.second, run.first});
+            vb += run.second;
+            goal = run.first + run.second;
+        }
+    }
     inode->disk.size_bytes =
         std::max<std::uint64_t>(inode->disk.size_bytes,
                                 (first_vblock + nblocks) * kFsBlockSize);

@@ -166,8 +166,7 @@ Testbed::create_backing_file(const std::string &path,
     NESC_RETURN_IF_ERROR(
         hv_fs_->truncate(ino, size_blocks * fs::kFsBlockSize));
     if (preallocate) {
-        NESC_RETURN_IF_ERROR(hv_fs_->allocate_range(ino, 0, size_blocks,
-                                                    /*zero_fill=*/false));
+        NESC_RETURN_IF_ERROR(hv_fs_->allocate_range(ino, 0, size_blocks));
     }
     return ino;
 }

@@ -43,6 +43,17 @@ TEST(ExtentMap, LookupExtentReturnsWholeExtent)
     EXPECT_EQ(e->nblocks, 10u);
 }
 
+TEST(ExtentMap, NextMappedSkipsHolesAndStopsInsideExtents)
+{
+    ExtentList list = {{2, 3, 100}, {10, 1, 200}};
+    EXPECT_EQ(*map_next_mapped(list, 0), 2u);
+    EXPECT_EQ(*map_next_mapped(list, 3), 3u); // inside an extent
+    EXPECT_EQ(*map_next_mapped(list, 5), 10u);
+    EXPECT_EQ(*map_next_mapped(list, 10), 10u);
+    EXPECT_FALSE(map_next_mapped(list, 11).has_value());
+    EXPECT_FALSE(map_next_mapped(ExtentList{}, 0).has_value());
+}
+
 TEST(ExtentMap, InsertIntoEmpty)
 {
     ExtentList list;
