@@ -17,7 +17,8 @@ Journal::Journal(blk::BlockIo &io, std::uint64_t start, std::uint64_t nblocks,
 void
 Journal::stage(std::uint64_t blockno, std::span<const std::byte> data)
 {
-    staged_[blockno] = std::vector<std::byte>(data.begin(), data.end());
+    // Re-staging a block overwrites its buffer in place.
+    staged_[blockno].assign(data.begin(), data.end());
 }
 
 bool
