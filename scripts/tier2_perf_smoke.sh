@@ -12,7 +12,8 @@ repo="$(cd "$(dirname "$0")/.." && pwd)"
 build="$(realpath -m "${1:-$repo/build-perf}")"
 baseline="$repo/scripts/perf_baseline_pr3.json"
 
-cmake -B "$build" -S "$repo" -DCMAKE_BUILD_TYPE=Release
+cmake -B "$build" -S "$repo" -DCMAKE_BUILD_TYPE=Release \
+    -DCMAKE_CXX_FLAGS=-Werror
 cmake --build "$build" -j "$(nproc)" --target \
   abl_btlb abl_walk_overlap abl_walk_coalesce abl_tree_depth \
   abl_queue_depth abl_batch_shard abl_vf_scale abl_latency_breakdown \

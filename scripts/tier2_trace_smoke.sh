@@ -27,7 +27,8 @@ set -euo pipefail
 repo="$(cd "$(dirname "$0")/.." && pwd)"
 build="$(realpath -m "${1:-$repo/build-trace}")"
 
-cmake -B "$build" -S "$repo" -DCMAKE_BUILD_TYPE=Release
+cmake -B "$build" -S "$repo" -DCMAKE_BUILD_TYPE=Release \
+    -DCMAKE_CXX_FLAGS=-Werror
 cmake --build "$build" -j "$(nproc)" --target \
   fig09_raw_latency abl_latency_breakdown abl_trace_overhead \
   abl_slo_observe

@@ -58,8 +58,10 @@ TimeSeriesSampler::to_json() const
             if (!first)
                 out += ", ";
             first = false;
-            out += "\"" + registry_.counter_key(h) +
-                   "\": " + std::to_string(s.counters[h]);
+            out += '"';
+            out += registry_.counter_key(h);
+            out += "\": ";
+            out += std::to_string(s.counters[h]);
         }
         out += "}, \"gauges\": {";
         first = true;
@@ -67,8 +69,10 @@ TimeSeriesSampler::to_json() const
             if (!first)
                 out += ", ";
             first = false;
-            out += "\"" + registry_.gauge_key(h) +
-                   "\": " + std::to_string(s.gauges[h]);
+            out += '"';
+            out += registry_.gauge_key(h);
+            out += "\": ";
+            out += std::to_string(s.gauges[h]);
         }
         out += "}}";
     }
