@@ -2,9 +2,9 @@
  * @file
  * google-benchmark microbenchmarks of the simulator's hot components:
  * extent-tree build/serialize, the software walker, the BTLB, the
- * event queue, host-memory allocation, nestfs data ops, and the
- * checksum kernels (CRC32C, the journal checksum, integrity sidecar
- * format). These measure wall-clock cost of the *model* (not simulated
+ * event queue, host-memory allocation, nestfs data ops and range
+ * allocation, and the checksum kernels (CRC32C, the journal checksum,
+ * integrity sidecar format). These measure wall-clock cost of the *model* (not simulated
  * time) and guard against performance regressions in the library
  * itself.
  */
@@ -140,6 +140,33 @@ BM_NestFsWrite4k(benchmark::State &state)
     state.SetBytesProcessed(state.iterations() * 4096);
 }
 BENCHMARK(BM_NestFsWrite4k);
+
+/** allocate_range of 16 Ki blocks on a fresh 32 MiB volume. */
+void
+BM_NestFsAllocateRange(benchmark::State &state)
+{
+    constexpr std::uint64_t kBlocks = 16 * 1024;
+    sim::Simulator sim;
+    storage::MemBlockDeviceConfig dev_cfg;
+    dev_cfg.capacity_bytes = 32ULL << 20;
+    dev_cfg.read_bytes_per_sec = 0;
+    dev_cfg.write_bytes_per_sec = 0;
+    dev_cfg.access_latency = 0;
+    storage::MemBlockDevice device(dev_cfg);
+    blk::DeviceBlockIo io(sim, device);
+    for (auto _ : state) {
+        state.PauseTiming();
+        auto fs = fs::NestFs::format(io).value();
+        const fs::InodeId ino = fs->create("/image", 0644).value();
+        state.ResumeTiming();
+        benchmark::DoNotOptimize(fs->allocate_range(ino, 0, kBlocks));
+    }
+    // Host time per allocated block, printed with an SI prefix.
+    state.counters["time_per_block"] = benchmark::Counter(
+        static_cast<double>(state.iterations() * kBlocks),
+        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_NestFsAllocateRange)->Unit(benchmark::kMicrosecond);
 
 std::vector<std::byte>
 random_kib()
