@@ -352,15 +352,6 @@ PfDriver::integrity_attached()
 }
 
 util::Status
-PfDriver::set_integrity_enabled(bool enabled)
-{
-    if (!integrity_attached())
-        return util::failed_precondition_error("no checksum sidecar attached");
-    return reg_write(pcie::kPhysicalFunctionId, ctrl::reg::kIntegrityCtrl,
-                     enabled ? 1 : 0);
-}
-
-util::Status
 PfDriver::set_integrity_reread_limit(std::uint32_t limit)
 {
     if (!integrity_attached())
@@ -400,12 +391,6 @@ PfDriver::scrub_start()
     return mgmt_command(ctrl::MgmtCommand::kScrubStart, {}, "scrub start");
 }
 
-util::Status
-PfDriver::scrub_abort()
-{
-    return mgmt_command(ctrl::MgmtCommand::kScrubAbort, {}, "scrub abort");
-}
-
 util::Result<bool>
 PfDriver::scrub_running()
 {
@@ -415,12 +400,6 @@ PfDriver::scrub_running()
     if (status == ~std::uint64_t{0})
         return util::not_found_error("no checksum sidecar attached");
     return status != 0;
-}
-
-util::Result<std::uint64_t>
-PfDriver::scrub_progress()
-{
-    return reg_read(pcie::kPhysicalFunctionId, ctrl::reg::kScrubProgress);
 }
 
 util::Result<std::uint64_t>
@@ -679,18 +658,17 @@ PfDriver::service_fault(pcie::FunctionId fn)
         return reg_write(fn, ctrl::reg::kRewalkTree, 1);
     }
 
-    if (allocation_denied_[fn]) {
-        // Quota exhausted: tell the device to fail the stalled writes
-        // (Figure 5b's "cannot allocate" leg).
-        // Modeled as a zero-valued RewalkTree write carrying failure;
-        // the device exposes this via the mgmt fail path.
+    // Figure 5b's "cannot allocate" leg: tell the device to fail the
+    // stalled writes (reads parked behind them resume).
+    auto fail_miss = [&]() -> util::Status {
         NESC_RETURN_IF_ERROR(
             reg_write(pcie::kPhysicalFunctionId, ctrl::reg::kMgmtVfId, fn));
-        NESC_RETURN_IF_ERROR(reg_write(
+        return reg_write(
             pcie::kPhysicalFunctionId, ctrl::reg::kMgmtCommand,
-            static_cast<std::uint64_t>(ctrl::MgmtCommand::kFailMiss)));
-        return util::Status::ok();
-    }
+            static_cast<std::uint64_t>(ctrl::MgmtCommand::kFailMiss));
+    };
+    if (allocation_denied_[fn])
+        return fail_miss(); // quota exhausted
 
     // Whether this is a write miss (unallocated) or a pruned-subtree
     // fault, the same service works: ensure the range is allocated in
@@ -710,8 +688,11 @@ PfDriver::service_fault(pcie::FunctionId fn)
         ++write_misses_serviced_;
         if (config_.allocation_batch_blocks > nblocks)
             nblocks = config_.allocation_batch_blocks;
-        NESC_RETURN_IF_ERROR(fs_->allocate_range(info.backing_file,
-                                                first_vblock, nblocks));
+        util::Status allocated =
+            fs_->allocate_range(info.backing_file, first_vblock, nblocks);
+        if (allocated.code() == util::ErrorCode::kResourceExhausted)
+            return fail_miss(); // the host volume is full
+        NESC_RETURN_IF_ERROR(allocated);
     }
     NESC_RETURN_IF_ERROR(rebuild_tree(fn));
     NESC_RETURN_IF_ERROR(reg_write(fn, ctrl::reg::kRewalkTree, 1));

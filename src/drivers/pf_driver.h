@@ -245,9 +245,6 @@ class PfDriver {
      */
     bool integrity_attached();
 
-    /** Turns read-path verification / write-path recording on or off. */
-    util::Status set_integrity_enabled(bool enabled);
-
     /** Programs the bounded re-read count of the recovery ladder. */
     util::Status set_integrity_reread_limit(std::uint32_t limit);
 
@@ -264,12 +261,8 @@ class PfDriver {
     /** Kicks off a full-media background scrub pass. */
     util::Status scrub_start();
 
-    /** Stops an in-flight scrub pass. */
-    util::Status scrub_abort();
-
-    /** Scrub status registers: running flag, progress, error count. */
+    /** Scrub status registers: running flag, error count. */
     util::Result<bool> scrub_running();
-    util::Result<std::uint64_t> scrub_progress();
     util::Result<std::uint64_t> scrub_errors();
 
     /**

@@ -2,14 +2,6 @@
 
 namespace nesc::extent {
 
-std::string
-Extent::to_string() const
-{
-    return "[v" + std::to_string(first_vblock) + "+" +
-           std::to_string(nblocks) + " -> p" +
-           std::to_string(first_pblock) + "]";
-}
-
 bool
 is_valid_extent_list(const ExtentList &extents)
 {

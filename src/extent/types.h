@@ -13,7 +13,6 @@
 
 #include <compare>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace nesc::extent {
@@ -47,8 +46,6 @@ struct Extent {
     {
         return first_pblock + (vlba - first_vblock);
     }
-
-    std::string to_string() const;
 };
 
 /** A sorted, non-overlapping extent list (what a FIEMAP query returns). */

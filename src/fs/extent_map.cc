@@ -109,21 +109,31 @@ map_insert_block(ExtentList &extents, Vlba vblock, Plba pblock)
 
 void
 map_remove_from(ExtentList &extents, Vlba from_vblock,
-                std::vector<std::pair<Plba, std::uint64_t>> &freed)
+                std::vector<std::pair<Plba, std::uint64_t>> &freed,
+                Vlba to_vblock)
 {
-    std::size_t i = upper_index(extents, from_vblock);
-    if (i < extents.size() && extents[i].first_vblock < from_vblock) {
-        // Straddling extent: keep the head, free the tail.
-        Extent &e = extents[i];
-        const std::uint64_t keep = from_vblock - e.first_vblock;
-        freed.emplace_back(e.first_pblock + keep, e.nblocks - keep);
-        e.nblocks = keep;
-        ++i;
+    const std::size_t first = upper_index(extents, from_vblock);
+    std::size_t last = first;
+    // Parts of the removed extents outside the range: at most a head
+    // of the first and a tail of the last.
+    Extent kept[2]{};
+    std::size_t nkept = 0;
+    for (; last < extents.size() && extents[last].first_vblock < to_vblock;
+         ++last) {
+        const Extent &e = extents[last];
+        const Vlba lo = std::max(e.first_vblock, from_vblock);
+        const Vlba hi = std::min(e.end_vblock(), to_vblock);
+        freed.emplace_back(e.translate(lo), hi - lo);
+        if (e.first_vblock < lo)
+            kept[nkept++] = Extent{e.first_vblock, lo - e.first_vblock,
+                                   e.first_pblock};
+        if (hi < e.end_vblock())
+            kept[nkept++] = Extent{hi, e.end_vblock() - hi, e.translate(hi)};
     }
-    for (std::size_t j = i; j < extents.size(); ++j)
-        freed.emplace_back(extents[j].first_pblock, extents[j].nblocks);
-    extents.erase(extents.begin() + static_cast<std::ptrdiff_t>(i),
-                  extents.end());
+    extents.erase(extents.begin() + static_cast<std::ptrdiff_t>(first),
+                  extents.begin() + static_cast<std::ptrdiff_t>(last));
+    extents.insert(extents.begin() + static_cast<std::ptrdiff_t>(first),
+                   kept, kept + nkept);
 }
 
 Vlba

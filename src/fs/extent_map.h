@@ -12,6 +12,7 @@
 #define NESC_FS_EXTENT_MAP_H
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 
 #include "extent/types.h"
@@ -48,13 +49,15 @@ void map_insert_block(extent::ExtentList &extents, extent::Vlba vblock,
 void map_insert_extent(extent::ExtentList &extents, const extent::Extent &e);
 
 /**
- * Removes all mappings with vblock >= @p from_vblock (truncate),
- * splitting a straddling extent. Appends the freed physical ranges to
- * @p freed as (first_pblock, nblocks) pairs.
+ * Removes all mappings with vblock in [@p from_vblock, @p to_vblock)
+ * (by default, everything from @p from_vblock on: truncate), splitting
+ * extents that straddle either end. Appends the freed physical ranges
+ * to @p freed as (first_pblock, nblocks) pairs.
  */
-void map_remove_from(extent::ExtentList &extents, extent::Vlba from_vblock,
-                     std::vector<std::pair<extent::Plba, std::uint64_t>>
-                         &freed);
+void map_remove_from(
+    extent::ExtentList &extents, extent::Vlba from_vblock,
+    std::vector<std::pair<extent::Plba, std::uint64_t>> &freed,
+    extent::Vlba to_vblock = std::numeric_limits<extent::Vlba>::max());
 
 /** Highest mapped vblock + 1; 0 for an empty mapping. */
 extent::Vlba map_end(const extent::ExtentList &extents);

@@ -114,7 +114,7 @@ NestFs::mount(blk::BlockIo &io)
 
     if (sb.journal_mode != static_cast<std::uint32_t>(JournalMode::kNone)) {
         NESC_ASSIGN_OR_RETURN(std::uint64_t replayed, fs->journal_->replay());
-        fs->counters_["journal_replayed_txns"] += replayed;
+        fs->counters_.bump("journal_replayed_txns", replayed);
         fs->super_.next_txn_id = fs->journal_->next_txn_id();
     }
 
@@ -196,7 +196,7 @@ NestFs::commit_meta()
         return util::Status::ok();
     NESC_RETURN_IF_ERROR(journal_->commit());
     super_.next_txn_id = journal_->next_txn_id();
-    ++counters_["journal_commits"];
+    counters_.bump("journal_commits");
     return util::Status::ok();
 }
 
@@ -516,7 +516,7 @@ NestFs::alloc_run(Plba goal, std::uint64_t want)
     bitmap_fill(b, len);
     stage_bitmap_blocks(b, len);
     free_block_count_ -= len;
-    counters_["blocks_allocated"] += len;
+    counters_.bump("blocks_allocated", len);
     return std::pair<Plba, std::uint64_t>(b, len);
 }
 
@@ -535,7 +535,7 @@ NestFs::free_block_range(Plba first, std::uint64_t count)
         stage_bitmap_blocks(b, 1);
         ++free_block_count_;
     }
-    counters_["blocks_freed"] += count;
+    counters_.bump("blocks_freed", count);
     return util::Status::ok();
 }
 

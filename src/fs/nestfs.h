@@ -33,7 +33,7 @@
 #include "extent/types.h"
 #include "fs/journal.h"
 #include "fs/layout.h"
-#include "util/stats.h"
+#include "obs/metrics.h"
 #include "util/status.h"
 
 namespace nesc::fs {
@@ -236,7 +236,7 @@ class NestFs {
     {
         super_.journal_mode = static_cast<std::uint32_t>(mode);
     }
-    util::CounterGroup &counters() { return counters_; }
+    const obs::MetricsRegistry &counters() const { return counters_; }
     Journal &journal() { return *journal_; }
 
   private:
@@ -309,7 +309,7 @@ class NestFs {
     std::vector<InodeId> free_inodes_; ///< stack of free inode numbers
     std::map<InodeId, CachedInode> inode_cache_;
     std::unique_ptr<Journal> journal_;
-    util::CounterGroup counters_;
+    obs::MetricsRegistry counters_;
     /** Monotonic pseudo-clock for mtime stamps. */
     mutable std::uint64_t mtime_clock_ = 0;
 };

@@ -243,7 +243,7 @@ NestFs::create(std::string_view path, std::uint16_t perm,
     NESC_RETURN_IF_ERROR(dir_add(rp.parent, rp.leaf, ino,
                                  FileType::kRegular));
     NESC_RETURN_IF_ERROR(commit_meta());
-    ++counters_["files_created"];
+    counters_.bump("files_created");
     return ino;
 }
 
@@ -308,7 +308,7 @@ NestFs::unlink(std::string_view path, const Credentials &creds)
         NESC_RETURN_IF_ERROR(store_inode(ino));
     }
     NESC_RETURN_IF_ERROR(commit_meta());
-    ++counters_["files_unlinked"];
+    counters_.bump("files_unlinked");
     return util::Status::ok();
 }
 
@@ -364,7 +364,7 @@ NestFs::rename(std::string_view from, std::string_view to,
     inode->disk.mtime_ns = now_ns();
     NESC_RETURN_IF_ERROR(store_inode(ino));
     NESC_RETURN_IF_ERROR(commit_meta());
-    ++counters_["renames"];
+    counters_.bump("renames");
     return util::Status::ok();
 }
 
@@ -495,7 +495,7 @@ NestFs::read(InodeId ino, std::uint64_t offset, std::span<std::byte> out,
         std::memcpy(out.data() + done, scratch.data() + in_block, n);
         done += n;
     }
-    counters_["bytes_read"] += to_read;
+    counters_.bump("bytes_read", to_read);
     return to_read;
 }
 
@@ -572,7 +572,7 @@ NestFs::write(InodeId ino, std::uint64_t offset,
     inode->disk.mtime_ns = now_ns();
     NESC_RETURN_IF_ERROR(store_extents(ino, *inode));
     NESC_RETURN_IF_ERROR(commit_meta());
-    counters_["bytes_written"] += in.size();
+    counters_.bump("bytes_written", in.size());
     return util::Status::ok();
 }
 
@@ -685,7 +685,7 @@ NestFs::fiemap(InodeId ino)
 {
     NESC_ASSIGN_OR_RETURN(CachedInode * inode, load_inode(ino));
     NESC_RETURN_IF_ERROR(load_extents(*inode));
-    ++counters_["fiemap_queries"];
+    counters_.bump("fiemap_queries");
     return inode->extents;
 }
 
@@ -697,6 +697,8 @@ NestFs::allocate_range(InodeId ino, std::uint64_t first_vblock,
     NESC_RETURN_IF_ERROR(load_extents(*inode));
     ExtentList &extents = inode->extents;
     const std::uint64_t end = first_vblock + nblocks;
+    // The runs this call maps, so a failure can give them all back.
+    ExtentList runs;
     std::uint64_t vb = first_vblock;
     while (vb < end) {
         if (auto mapped = map_lookup_extent(extents, vb)) {
@@ -712,10 +714,23 @@ NestFs::allocate_range(InodeId ino, std::uint64_t first_vblock,
         if (auto prev = map_lookup(extents, vb ? vb - 1 : 0))
             goal = *prev + 1;
         while (vb < gap_end) {
-            NESC_ASSIGN_OR_RETURN(auto run, alloc_run(goal, gap_end - vb));
-            map_insert_extent(extents, Extent{vb, run.second, run.first});
-            vb += run.second;
-            goal = run.first + run.second;
+            auto run = alloc_run(goal, gap_end - vb);
+            if (!run.is_ok()) {
+                // Give back what this call got: neither the inode's
+                // size nor its on-disk extents ever saw these runs.
+                std::vector<std::pair<Plba, std::uint64_t>> freed;
+                for (const Extent &r : runs) {
+                    map_remove_from(extents, r.first_vblock, freed,
+                                    r.end_vblock());
+                    NESC_RETURN_IF_ERROR(
+                        free_block_range(r.first_pblock, r.nblocks));
+                }
+                return run.status();
+            }
+            runs.push_back(Extent{vb, run->second, run->first});
+            map_insert_extent(extents, runs.back());
+            vb += run->second;
+            goal = run->first + run->second;
         }
     }
     inode->disk.size_bytes =
@@ -724,7 +739,7 @@ NestFs::allocate_range(InodeId ino, std::uint64_t first_vblock,
     inode->disk.mtime_ns = now_ns();
     NESC_RETURN_IF_ERROR(store_extents(ino, *inode));
     NESC_RETURN_IF_ERROR(commit_meta());
-    ++counters_["allocate_range_calls"];
+    counters_.bump("allocate_range_calls");
     return util::Status::ok();
 }
 

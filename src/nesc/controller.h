@@ -248,8 +248,8 @@ class Controller : public pcie::FunctionMmioDevice {
     pcie::DmaEngine &dma() { return dma_; }
     /**
      * Device-internal metrics. Hot pipeline counters update through
-     * interned handles; the registry keeps the CounterGroup-style
-     * get()/to_string() surface for tests and benches.
+     * interned handles; tests and benches read them by name through
+     * get()/to_string().
      */
     obs::MetricsRegistry &counters() { return metrics_; }
     const obs::MetricsRegistry &counters() const { return metrics_; }

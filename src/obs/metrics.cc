@@ -159,8 +159,7 @@ MetricsRegistry::get(std::string_view name) const
 std::string
 MetricsRegistry::to_string() const
 {
-    // counter_index_ is name-ordered, matching the old CounterGroup
-    // map iteration order for global counters.
+    // counter_index_ is name-ordered.
     std::string out;
     for (const auto &[key, handle] : counter_index_) {
         if (key.second != kGlobalScope)

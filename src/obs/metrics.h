@@ -179,15 +179,12 @@ class MetricsRegistry {
         add(counter(name, scope), delta);
     }
 
-    /**
-     * Global-scope counter value of @p name, zero if never registered
-     * (drop-in for util::CounterGroup::get).
-     */
+    /** Global-scope counter value of @p name, zero if never registered. */
     std::uint64_t get(std::string_view name) const;
 
     /**
      * "name=value name=value ..." of the global-scope counters, in
-     * name order (drop-in for util::CounterGroup::to_string).
+     * name order.
      */
     std::string to_string() const;
 

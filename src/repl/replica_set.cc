@@ -634,10 +634,4 @@ ReplicaSet::resync_copied(std::size_t index) const
     return backends_[index]->resync_copied_blocks;
 }
 
-const JournaledBlockstore &
-ReplicaSet::blockstore(std::size_t index) const
-{
-    return backends_[index]->store;
-}
-
 } // namespace nesc::repl

@@ -188,7 +188,6 @@ class ReplicaSet {
     std::uint64_t backend_timeouts(std::size_t index) const;
     std::uint64_t backend_errors(std::size_t index) const;
     std::uint64_t resync_copied(std::size_t index) const;
-    const JournaledBlockstore &blockstore(std::size_t index) const;
     std::uint64_t writes_acked() const { return writes_acked_; }
     std::uint64_t writes_failed() const { return writes_failed_; }
     std::uint64_t reads_served() const { return reads_served_; }

@@ -42,7 +42,7 @@ FaultyBlockDevice::draw(bool is_read, std::uint64_t offset,
             return sched.kind;
     }
     if (overlaps_bad_range(offset, bytes)) {
-        ++counters_["bad_block_hits"];
+        counters_.bump("bad_block_hits");
         return is_read ? InjectedFault::kReadError
                        : InjectedFault::kWriteError;
     }
@@ -93,8 +93,8 @@ FaultyBlockDevice::damage_stored_bit(std::uint64_t offset, std::uint64_t bit)
                       std::span<const std::byte>(&damaged, 1))
              .is_ok())
         return;
-    ++counters_["injected_faults"];
-    ++counters_["sticky_corruptions"];
+    counters_.bump("injected_faults");
+    counters_.bump("sticky_corruptions");
 }
 
 util::Status
@@ -109,18 +109,18 @@ FaultyBlockDevice::read(std::uint64_t offset, std::span<std::byte> out)
         damage_stored_bit(offset, sticky - 1);
     switch (fault) {
       case InjectedFault::kReadError:
-        ++counters_["injected_faults"];
-        ++counters_["read_media_errors"];
+        counters_.bump("injected_faults");
+        counters_.bump("read_media_errors");
         return util::data_loss_error("injected media read error");
       case InjectedFault::kTransient:
-        ++counters_["injected_faults"];
-        ++counters_["transient_faults"];
+        counters_.bump("injected_faults");
+        counters_.bump("transient_faults");
         return util::unavailable_error("injected transient read fault");
       case InjectedFault::kCorrupt: {
         NESC_RETURN_IF_ERROR(inner_.read(offset, out));
         if (!out.empty()) {
-            ++counters_["injected_faults"];
-            ++counters_["silent_corruptions"];
+            counters_.bump("injected_faults");
+            counters_.bump("silent_corruptions");
             const std::uint64_t bit = rng_.next_below(out.size() * 8);
             out[bit / 8] ^= static_cast<std::byte>(1u << (bit % 8));
         }
@@ -150,8 +150,8 @@ FaultyBlockDevice::draw_stall()
         stall = true;
     if (!stall)
         return 0;
-    ++counters_["injected_faults"];
-    ++counters_["stall_faults"];
+    counters_.bump("injected_faults");
+    counters_.bump("stall_faults");
     return plan_.stall_ns;
 }
 
@@ -163,12 +163,12 @@ FaultyBlockDevice::write(std::uint64_t offset, std::span<const std::byte> in)
     const std::uint64_t sticky = draw_sticky(index, in.size());
     switch (fault) {
       case InjectedFault::kWriteError:
-        ++counters_["injected_faults"];
-        ++counters_["write_media_errors"];
+        counters_.bump("injected_faults");
+        counters_.bump("write_media_errors");
         return util::data_loss_error("injected media write error");
       case InjectedFault::kTransient:
-        ++counters_["injected_faults"];
-        ++counters_["transient_faults"];
+        counters_.bump("injected_faults");
+        counters_.bump("transient_faults");
         return util::unavailable_error("injected transient write fault");
       case InjectedFault::kReadError:
       case InjectedFault::kCorrupt:

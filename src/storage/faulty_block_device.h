@@ -34,9 +34,9 @@
 
 #include <vector>
 
+#include "obs/metrics.h"
 #include "storage/block_device.h"
 #include "util/rng.h"
-#include "util/stats.h"
 
 namespace nesc::storage {
 
@@ -137,7 +137,7 @@ class FaultyBlockDevice : public BlockDevice {
      * `transient_faults`, `silent_corruptions`, `sticky_corruptions`,
      * `bad_block_hits`, `stall_faults`).
      */
-    const util::CounterGroup &counters() const { return counters_; }
+    const obs::MetricsRegistry &counters() const { return counters_; }
 
     /** Media operations observed so far (schedule index space). */
     std::uint64_t ops_seen() const { return op_index_; }
@@ -167,7 +167,7 @@ class FaultyBlockDevice : public BlockDevice {
     util::Rng stall_rng_;
     /** Independent stream for sticky corruption (same isolation rule). */
     util::Rng sticky_rng_;
-    util::CounterGroup counters_;
+    obs::MetricsRegistry counters_;
     std::uint64_t op_index_ = 0;
     std::uint64_t timing_op_index_ = 0;
 };

@@ -76,33 +76,4 @@ Sampler::percentile(double p) const
     return sorted_[lo] * (1.0 - frac) + sorted_[lo + 1] * frac;
 }
 
-void
-Sampler::reset()
-{
-    samples_.clear();
-    sorted_.clear();
-    sorted_valid_ = false;
-}
-
-std::uint64_t
-CounterGroup::get(const std::string &name) const
-{
-    auto it = counters_.find(name);
-    return it == counters_.end() ? 0 : it->second;
-}
-
-std::string
-CounterGroup::to_string() const
-{
-    std::string out;
-    for (const auto &[name, value] : counters_) {
-        if (!out.empty())
-            out += ' ';
-        out += name;
-        out += '=';
-        out += std::to_string(value);
-    }
-    return out;
-}
-
 } // namespace nesc::util

@@ -1,14 +1,12 @@
 /**
  * @file
- * Measurement collection: running summaries, percentile samplers, and
- * named counter groups used by the benchmark harness and device models.
+ * Measurement collection: running summaries and percentile samplers
+ * used by the benchmark harness and device models.
  */
 #ifndef NESC_UTIL_STATS_H
 #define NESC_UTIL_STATS_H
 
 #include <cstdint>
-#include <map>
-#include <string>
 #include <vector>
 
 namespace nesc::util {
@@ -55,7 +53,6 @@ class Sampler {
     double median() const { return percentile(50.0); }
 
     const std::vector<double> &samples() const { return samples_; }
-    void reset();
 
   private:
     void ensure_sorted() const;
@@ -63,34 +60,6 @@ class Sampler {
     std::vector<double> samples_;
     mutable std::vector<double> sorted_;
     mutable bool sorted_valid_ = false;
-};
-
-/**
- * A named group of integral counters, e.g. the NeSC controller's
- * btlb_hits/btlb_misses/walk_levels. Counters auto-create at zero.
- */
-class CounterGroup {
-  public:
-    std::uint64_t &operator[](const std::string &name)
-    {
-        return counters_[name];
-    }
-
-    /** Value of @p name, zero if never touched. */
-    std::uint64_t get(const std::string &name) const;
-
-    const std::map<std::string, std::uint64_t> &all() const
-    {
-        return counters_;
-    }
-
-    /** "name=value name=value ..." for logging. */
-    std::string to_string() const;
-
-    void reset() { counters_.clear(); }
-
-  private:
-    std::map<std::string, std::uint64_t> counters_;
 };
 
 } // namespace nesc::util

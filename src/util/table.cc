@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <ostream>
 
 namespace nesc::util {
 
@@ -105,12 +104,6 @@ Table::to_csv() const
     for (const auto &row : rows_)
         out += emit(row);
     return out;
-}
-
-void
-Table::print(std::ostream &os) const
-{
-    os << to_string();
 }
 
 } // namespace nesc::util

@@ -7,7 +7,6 @@
 #define NESC_UTIL_TABLE_H
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -37,9 +36,6 @@ class Table {
     std::string to_string() const;
     /** Renders as comma-separated values (no escaping; cells are simple). */
     std::string to_csv() const;
-
-    /** Prints to_string() to @p os. */
-    void print(std::ostream &os) const;
 
   private:
     std::vector<std::string> headers_;

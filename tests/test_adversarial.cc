@@ -10,218 +10,19 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <sstream>
 #include <vector>
 
-#include "drivers/function_driver.h"
-#include "extent/tree_image.h"
-#include "nesc/controller.h"
-#include "pcie/host_ring.h"
-#include "pcie/mmio.h"
-#include "storage/mem_block_device.h"
+#include "controller_rig.h"
 #include "virt/hostile_driver.h"
 
 namespace nesc::ctrl {
 namespace {
 
-/** Bare-metal harness: controller + BAR router over DRAM media. */
-class AdvHarness {
-  public:
-    AdvHarness()
-        : host_memory_(64 << 20), device_(device_config()), irq_(sim_),
-          controller_(sim_, host_memory_, device_, irq_,
-                      controller_config()),
-          bar_(controller_, 4096, controller_.num_functions())
-    {
-    }
+using test::ControllerRig;
+using test::RawGuest;
 
-    static storage::MemBlockDeviceConfig
-    device_config()
-    {
-        storage::MemBlockDeviceConfig cfg;
-        cfg.capacity_bytes = 16 << 20;
-        return cfg;
-    }
-
-    static ControllerConfig
-    controller_config()
-    {
-        ControllerConfig cfg;
-        cfg.max_vfs = 4;
-        return cfg;
-    }
-
-    pcie::FunctionId
-    create_vf(const extent::ExtentList &extents, std::uint64_t size_blocks,
-              pcie::FunctionId fn = 1)
-    {
-        auto image = extent::ExtentTreeImage::build(host_memory_, extents);
-        EXPECT_TRUE(image.is_ok());
-        trees_.push_back(std::move(image).value());
-        pf_write(reg::kMgmtVfId, fn);
-        pf_write(reg::kMgmtExtentRoot, trees_.back().root());
-        pf_write(reg::kMgmtDeviceSize, size_blocks);
-        mgmt(MgmtCommand::kCreateVf);
-        return fn;
-    }
-
-    void
-    pf_write(std::uint64_t offset, std::uint64_t value)
-    {
-        ASSERT_TRUE(controller_.mmio_write(0, offset, value, 8).is_ok());
-    }
-
-    void
-    mgmt(MgmtCommand command)
-    {
-        ASSERT_TRUE(controller_
-                        .mmio_write(0, reg::kMgmtCommand,
-                                    static_cast<std::uint64_t>(command), 8)
-                        .is_ok());
-        ASSERT_EQ(*controller_.mmio_read(0, reg::kMgmtStatus, 4),
-                  static_cast<std::uint64_t>(MgmtStatus::kOk));
-    }
-
-    /** PF grants @p fn DMA access to [base, base+size). */
-    void
-    add_window(pcie::FunctionId fn, pcie::HostAddr base,
-               std::uint64_t size)
-    {
-        pf_write(reg::kMgmtVfId, fn);
-        pf_write(reg::kDmaWindowBase, base);
-        pf_write(reg::kDmaWindowSize, size);
-        mgmt(MgmtCommand::kAddDmaWindow);
-    }
-
-    /** Windows covering @p fn's extent tree (latest created tree). */
-    void
-    window_tree(pcie::FunctionId fn, const extent::ExtentTreeImage &tree)
-    {
-        const auto [base, size] = tree.bounds();
-        if (size != 0)
-            add_window(fn, base, size);
-    }
-
-    void
-    release_quarantine(pcie::FunctionId fn)
-    {
-        pf_write(reg::kMgmtVfId, fn);
-        mgmt(MgmtCommand::kReleaseQuarantine);
-    }
-
-    std::unique_ptr<drv::FunctionDriver>
-    make_driver(pcie::FunctionId fn,
-                const drv::FunctionDriverConfig &config = {})
-    {
-        auto driver = std::make_unique<drv::FunctionDriver>(
-            sim_, host_memory_, bar_, irq_, fn, config);
-        EXPECT_TRUE(driver->init().is_ok());
-        return driver;
-    }
-
-    sim::Simulator sim_;
-    pcie::HostMemory host_memory_;
-    storage::MemBlockDevice device_;
-    pcie::InterruptController irq_;
-    Controller controller_;
-    pcie::BarPageRouter bar_;
-    std::vector<extent::ExtentTreeImage> trees_;
-};
-
-/**
- * Hand-rolled guest rings with raw record control: lets a test submit
- * byte-exact descriptors (including invalid ones no driver would
- * build) and inspect the raw completions.
- */
-struct RawGuest {
-    RawGuest(AdvHarness &h, pcie::FunctionId fn,
-             std::uint32_t entries = 32)
-        : h_(h), fn_(fn)
-    {
-        const auto cmd_fp =
-            pcie::HostRing::footprint(entries, sizeof(CommandRecord));
-        const auto comp_fp = pcie::HostRing::footprint(
-            entries * 2, sizeof(CompletionRecord));
-        cmd_base_ = *h.host_memory_.alloc(cmd_fp, 64);
-        comp_base_ = *h.host_memory_.alloc(comp_fp, 64);
-        buffer_ = *h.host_memory_.alloc(64 * 1024, 4096);
-        EXPECT_TRUE(pcie::HostRing::create(h.host_memory_, cmd_base_,
-                                           entries, sizeof(CommandRecord))
-                        .is_ok());
-        EXPECT_TRUE(pcie::HostRing::create(h.host_memory_, comp_base_,
-                                           entries * 2,
-                                           sizeof(CompletionRecord))
-                        .is_ok());
-        program_rings();
-    }
-
-    void
-    program_rings()
-    {
-        EXPECT_TRUE(h_.controller_
-                        .mmio_write(fn_, reg::kCmdRingBase, cmd_base_, 8)
-                        .is_ok());
-        EXPECT_TRUE(h_.controller_
-                        .mmio_write(fn_, reg::kCompRingBase, comp_base_, 8)
-                        .is_ok());
-    }
-
-    void
-    push(const CommandRecord &rec)
-    {
-        auto ring = pcie::HostRing::attach(h_.host_memory_, cmd_base_);
-        ASSERT_TRUE(ring.is_ok());
-        std::vector<std::byte> buf(sizeof(rec));
-        std::memcpy(buf.data(), &rec, sizeof(rec));
-        ASSERT_TRUE(ring.value().push(buf).is_ok());
-    }
-
-    void
-    doorbell()
-    {
-        EXPECT_TRUE(
-            h_.controller_.mmio_write(fn_, reg::kDoorbell, 1, 8).is_ok());
-    }
-
-    std::vector<CompletionRecord>
-    drain_completions()
-    {
-        std::vector<CompletionRecord> out;
-        auto ring = pcie::HostRing::attach(h_.host_memory_, comp_base_);
-        if (!ring.is_ok())
-            return out;
-        std::vector<std::byte> buf(sizeof(CompletionRecord));
-        for (;;) {
-            auto popped = ring.value().pop(buf);
-            if (!popped.is_ok() || !popped.value())
-                break;
-            CompletionRecord rec;
-            std::memcpy(&rec, buf.data(), sizeof(rec));
-            out.push_back(rec);
-        }
-        return out;
-    }
-
-    AdvHarness &h_;
-    pcie::FunctionId fn_;
-    pcie::HostAddr cmd_base_ = pcie::kNullHostAddr;
-    pcie::HostAddr comp_base_ = pcie::kNullHostAddr;
-    pcie::HostAddr buffer_ = pcie::kNullHostAddr;
-    std::uint64_t next_tag_ = 1;
-};
-
-CommandRecord
-valid_write(RawGuest &g, std::uint64_t vlba = 0)
-{
-    CommandRecord rec{};
-    rec.vlba = vlba;
-    rec.nblocks = 1;
-    rec.opcode = static_cast<std::uint8_t>(Opcode::kWrite);
-    rec.host_buffer = g.buffer_;
-    rec.tag = g.next_tag_++;
-    return rec;
-}
+const test::RigOptions kRig{.host_memory_bytes = 64 << 20};
 
 // --- Retryability contract (driver-facing API) ----------------------
 
@@ -249,7 +50,7 @@ TEST(CompletionStatusTest, RetryabilityCoversEveryEnumerator)
 
 TEST(CompletionStatusTest, SyncHelpersFailFastOnOutOfRange)
 {
-    AdvHarness h;
+    ControllerRig h(kRig);
     const auto fn = h.create_vf({{0, 32, 1000}}, 32);
     auto driver = h.make_driver(fn);
     std::vector<std::byte> buf(1024);
@@ -263,19 +64,19 @@ TEST(CompletionStatusTest, SyncHelpersFailFastOnOutOfRange)
 
 TEST(DescriptorValidation, MalformedFieldsCompleteKMalformed)
 {
-    AdvHarness h;
+    ControllerRig h(kRig);
     const auto fn = h.create_vf({{0, 64, 2000}}, 64);
     RawGuest g(h, fn);
 
-    CommandRecord bomb = valid_write(g);
+    CommandRecord bomb = g.valid_write();
     bomb.nblocks = 0x40000000; // would expand to a billion block ops
-    CommandRecord misaligned = valid_write(g);
+    CommandRecord misaligned = g.valid_write();
     misaligned.host_buffer = g.buffer_ + 1;
-    CommandRecord null_buf = valid_write(g);
+    CommandRecord null_buf = g.valid_write();
     null_buf.host_buffer = pcie::kNullHostAddr;
-    CommandRecord bad_op = valid_write(g);
+    CommandRecord bad_op = g.valid_write();
     bad_op.opcode = 99;
-    CommandRecord wrap = valid_write(g);
+    CommandRecord wrap = g.valid_write();
     wrap.vlba = ~std::uint64_t{0} - 2;
     wrap.nblocks = 8;
 
@@ -284,7 +85,7 @@ TEST(DescriptorValidation, MalformedFieldsCompleteKMalformed)
     g.push(null_buf);
     g.push(bad_op);
     g.push(wrap);
-    g.push(valid_write(g, 3)); // a good command rides along
+    g.push(g.valid_write(3)); // a good command rides along
     g.doorbell();
     h.sim_.run_until_idle();
 
@@ -304,10 +105,10 @@ TEST(DescriptorValidation, MalformedFieldsCompleteKMalformed)
 
 TEST(DescriptorValidation, FullyOutOfRangeRejectedAtFetch)
 {
-    AdvHarness h;
+    ControllerRig h(kRig);
     const auto fn = h.create_vf({{0, 64, 2000}}, 64);
     RawGuest g(h, fn);
-    CommandRecord rec = valid_write(g, /*vlba=*/64); // first block OOR
+    CommandRecord rec = g.valid_write(/*vlba=*/64); // first block OOR
     g.push(rec);
     g.doorbell();
     h.sim_.run_until_idle();
@@ -321,13 +122,13 @@ TEST(DescriptorValidation, FullyOutOfRangeRejectedAtFetch)
 
 TEST(DescriptorValidation, MalformedStormQuarantines)
 {
-    AdvHarness h;
+    ControllerRig h(kRig);
     const auto fn = h.create_vf({{0, 64, 2000}}, 64);
     RawGuest g(h, fn);
     const std::uint32_t threshold =
         h.controller_.config().quarantine_threshold;
     for (std::uint32_t i = 0; i < threshold; ++i) {
-        CommandRecord rec = valid_write(g);
+        CommandRecord rec = g.valid_write();
         rec.opcode = 200;
         g.push(rec);
     }
@@ -358,7 +159,7 @@ TEST(DescriptorValidation, MalformedStormQuarantines)
     EXPECT_FALSE(h.controller_.quarantined(fn));
     EXPECT_EQ(h.controller_.quarantine_cause(fn), QuarantineCause::kNone);
     RawGuest g2(h, fn); // FLR detached the old rings; re-program
-    g2.push(valid_write(g2, 5));
+    g2.push(g2.valid_write(5));
     g2.doorbell();
     h.sim_.run_until_idle();
     auto comps = g2.drain_completions();
@@ -400,12 +201,12 @@ TEST(RingSanitization, SizeSurfacesCorruptCounters)
 
 TEST(RingSanitization, CounterTamperingDropsDoorbell)
 {
-    AdvHarness h;
+    ControllerRig h(kRig);
     const auto fn = h.create_vf({{0, 64, 2000}}, 64);
     RawGuest g(h, fn);
 
     // Establish the attachment with one clean command.
-    g.push(valid_write(g, 0));
+    g.push(g.valid_write(0));
     g.doorbell();
     h.sim_.run_until_idle();
     ASSERT_EQ(g.drain_completions().size(), 1u);
@@ -429,7 +230,7 @@ TEST(RingSanitization, CounterTamperingDropsDoorbell)
 
 TEST(RegisterProtection, VfWritesToPfRegsRejectedAndCounted)
 {
-    AdvHarness h;
+    ControllerRig h(kRig);
     const auto fn = h.create_vf({{0, 32, 1000}}, 32);
     const std::uint64_t pf_only[] = {
         reg::kExtentTreeRoot,    reg::kMgmtVfId,
@@ -469,7 +270,7 @@ TEST(RegisterProtection, VfWritesToPfRegsRejectedAndCounted)
 
 TEST(DmaWindows, OobBufferFaultsAndQuarantines)
 {
-    AdvHarness h;
+    ControllerRig h(kRig);
     const auto fn = h.create_vf({{0, 64, 2000}}, 64);
     RawGuest g(h, fn);
 
@@ -479,15 +280,10 @@ TEST(DmaWindows, OobBufferFaultsAndQuarantines)
     ASSERT_TRUE(h.host_memory_.write(canary, pattern).is_ok());
 
     // Confine the fn to its own rings/buffer plus its extent tree.
-    h.window_tree(fn, h.trees_.back());
-    h.add_window(fn, g.cmd_base_,
-                 pcie::HostRing::footprint(32, sizeof(CommandRecord)));
-    h.add_window(fn, g.comp_base_,
-                 pcie::HostRing::footprint(64, sizeof(CompletionRecord)));
-    h.add_window(fn, g.buffer_, 64 * 1024);
+    g.window_all();
 
     // A confined guest doing honest I/O is unaffected.
-    g.push(valid_write(g, 1));
+    g.push(g.valid_write(1));
     g.doorbell();
     h.sim_.run_until_idle();
     auto comps = g.drain_completions();
@@ -497,7 +293,7 @@ TEST(DmaWindows, OobBufferFaultsAndQuarantines)
 
     // A read (device write to host) aimed at the canary: refused with
     // kDmaFault, quarantined immediately, canary untouched.
-    CommandRecord attack = valid_write(g, 2);
+    CommandRecord attack = g.valid_write(2);
     attack.opcode = static_cast<std::uint8_t>(Opcode::kRead);
     attack.host_buffer = canary;
     g.push(attack);
@@ -519,15 +315,10 @@ TEST(DmaWindows, OobBufferFaultsAndQuarantines)
 
 TEST(DmaWindows, RingOutsideWindowsQuarantines)
 {
-    AdvHarness h;
+    ControllerRig h(kRig);
     const auto fn = h.create_vf({{0, 64, 2000}}, 64);
     RawGuest g(h, fn);
-    h.window_tree(fn, h.trees_.back());
-    h.add_window(fn, g.cmd_base_,
-                 pcie::HostRing::footprint(32, sizeof(CommandRecord)));
-    h.add_window(fn, g.comp_base_,
-                 pcie::HostRing::footprint(64, sizeof(CompletionRecord)));
-    h.add_window(fn, g.buffer_, 64 * 1024);
+    g.window_all();
 
     // Repoint the command ring at a well-formed ring OUTSIDE the
     // windows: the attach-time window check must quarantine.
@@ -548,7 +339,7 @@ TEST(DmaWindows, RingOutsideWindowsQuarantines)
 
 TEST(DmaWindows, QuarantineAbortsInFlightAndSparesNeighbor)
 {
-    AdvHarness h;
+    ControllerRig h(kRig);
     const auto victim = h.create_vf({{0, 64, 1000}}, 64, 1);
     const auto hostile = h.create_vf({{0, 64, 2000}}, 64, 2);
     auto victim_driver = h.make_driver(victim);
@@ -556,11 +347,11 @@ TEST(DmaWindows, QuarantineAbortsInFlightAndSparesNeighbor)
 
     // Enough malformed records to trip the storm with one in-flight
     // valid command ahead of them: the valid one must abort.
-    g.push(valid_write(g, 0));
+    g.push(g.valid_write(0));
     const std::uint32_t threshold =
         h.controller_.config().quarantine_threshold;
     for (std::uint32_t i = 0; i < threshold; ++i) {
-        CommandRecord rec = valid_write(g);
+        CommandRecord rec = g.valid_write();
         rec.nblocks = 0;
         g.push(rec);
     }
@@ -626,7 +417,7 @@ struct FuzzOutcome {
 FuzzOutcome
 run_fuzz_campaign(std::uint64_t seed, std::uint64_t events)
 {
-    AdvHarness h;
+    ControllerRig h(kRig);
     const auto victim = h.create_vf({{0, 128, 1000}}, 128, 1);
     const auto hostile = h.create_vf({{0, 128, 4000}}, 128, 2);
     auto driver = h.make_driver(victim);
@@ -636,7 +427,7 @@ run_fuzz_campaign(std::uint64_t seed, std::uint64_t events)
     // Confine the hostile fn to its own sandbox plus its extent tree;
     // every DMA it coaxes out of the device beyond that quarantines it.
     h.add_window(hostile, hd.region_base(), hd.region_size());
-    h.window_tree(hostile, h.trees_.back());
+    h.window_tree(hostile);
 
     // Canary page the hostile fn does not own: if any attack escapes
     // the windows, these bytes change.

@@ -8,12 +8,8 @@
  */
 #include <gtest/gtest.h>
 
-#include "drivers/function_driver.h"
-#include "extent/tree_image.h"
+#include "controller_rig.h"
 #include "nesc/arbiter.h"
-#include "nesc/controller.h"
-#include "pcie/mmio.h"
-#include "storage/mem_block_device.h"
 #include "workloads/dd.h"
 
 namespace nesc::ctrl {
@@ -122,88 +118,31 @@ TEST(TokenBucket, UnlimitedBypassesAccounting)
 
 // --- Controller-level arbitration -----------------------------------------
 
-class ArbiterTest : public ::testing::Test {
+class ArbiterTest : public ::testing::Test, public test::ControllerRig {
   protected:
     ArbiterTest()
-        : host_memory_(64 << 20), device_(device_config()), irq_(sim_),
-          controller_(sim_, host_memory_, device_, irq_,
-                      controller_config()),
-          bar_(controller_, 4096, controller_.num_functions())
+        : ControllerRig({.host_memory_bytes = 64 << 20,
+                         .media_bytes = 64 << 20,
+                         .config = {.max_vfs = 256}})
     {
-    }
-
-    static storage::MemBlockDeviceConfig
-    device_config()
-    {
-        storage::MemBlockDeviceConfig cfg;
-        cfg.capacity_bytes = 64 << 20;
-        return cfg;
-    }
-
-    static ControllerConfig
-    controller_config()
-    {
-        ControllerConfig cfg;
-        cfg.max_vfs = 256;
-        return cfg;
-    }
-
-    pcie::FunctionId
-    create_vf(std::uint64_t plba_base, std::uint64_t size_blocks,
-              pcie::FunctionId fn)
-    {
-        auto image = extent::ExtentTreeImage::build(
-            host_memory_, {{0, size_blocks, plba_base}});
-        EXPECT_TRUE(image.is_ok());
-        trees_.push_back(std::move(image).value());
-        mgmt(reg::kMgmtVfId, fn);
-        mgmt(reg::kMgmtExtentRoot, trees_.back().root());
-        mgmt(reg::kMgmtDeviceSize, size_blocks);
-        mgmt(reg::kMgmtCommand,
-             static_cast<std::uint64_t>(MgmtCommand::kCreateVf));
-        EXPECT_EQ(*controller_.mmio_read(0, reg::kMgmtStatus, 4),
-                  static_cast<std::uint64_t>(MgmtStatus::kOk));
-        return fn;
-    }
-
-    void
-    mgmt(std::uint64_t offset, std::uint64_t value)
-    {
-        ASSERT_TRUE(controller_.mmio_write(0, offset, value, 8).is_ok());
     }
 
     void
     set_weight(pcie::FunctionId fn, std::uint32_t weight)
     {
-        mgmt(reg::kMgmtVfId, fn);
-        mgmt(reg::kMgmtQosWeight, weight);
-        mgmt(reg::kMgmtCommand,
-             static_cast<std::uint64_t>(MgmtCommand::kSetQosWeight));
-        ASSERT_EQ(*controller_.mmio_read(0, reg::kMgmtStatus, 4),
-                  static_cast<std::uint64_t>(MgmtStatus::kOk));
+        pf_write(reg::kMgmtVfId, fn);
+        pf_write(reg::kMgmtQosWeight, weight);
+        mgmt(MgmtCommand::kSetQosWeight);
     }
 
     void
     set_rate_limit(pcie::FunctionId fn, std::uint64_t bps,
                    std::uint64_t burst)
     {
-        mgmt(reg::kMgmtVfId, fn);
-        mgmt(reg::kMgmtRateBytesPerSec, bps);
-        mgmt(reg::kMgmtRateBurstBytes, burst);
-        mgmt(reg::kMgmtCommand,
-             static_cast<std::uint64_t>(MgmtCommand::kSetRateLimit));
-        ASSERT_EQ(*controller_.mmio_read(0, reg::kMgmtStatus, 4),
-                  static_cast<std::uint64_t>(MgmtStatus::kOk));
-    }
-
-    std::unique_ptr<drv::FunctionDriver>
-    make_driver(pcie::FunctionId fn)
-    {
-        auto driver = std::make_unique<drv::FunctionDriver>(
-            sim_, host_memory_, bar_, irq_, fn,
-            drv::FunctionDriverConfig{});
-        EXPECT_TRUE(driver->init().is_ok());
-        return driver;
+        pf_write(reg::kMgmtVfId, fn);
+        pf_write(reg::kMgmtRateBytesPerSec, bps);
+        pf_write(reg::kMgmtRateBurstBytes, burst);
+        mgmt(MgmtCommand::kSetRateLimit);
     }
 
     /**
@@ -229,13 +168,6 @@ class ArbiterTest : public ::testing::Test {
                         .is_ok());
     }
 
-    sim::Simulator sim_;
-    pcie::HostMemory host_memory_;
-    storage::MemBlockDevice device_;
-    pcie::InterruptController irq_;
-    Controller controller_;
-    pcie::BarPageRouter bar_;
-    std::vector<extent::ExtentTreeImage> trees_;
     pcie::HostAddr buffer_ = pcie::kNullHostAddr;
 };
 
@@ -244,7 +176,7 @@ TEST_F(ArbiterTest, LegacyWrrForfeitsCreditOnIdle)
     // Legacy semantics (paper §V.A): when the turn-holder's queue
     // drains mid-turn, the remaining credit is forfeited — the figures
     // were generated with this behavior and it must not drift.
-    const auto fn = create_vf(1000, 256, 1);
+    const auto fn = create_vf({{0, 256, 1000}}, 256, 1);
     set_weight(fn, 8);
     auto driver = make_driver(fn);
     std::vector<std::byte> buf(kDeviceBlockSize);
@@ -257,8 +189,8 @@ TEST_F(ArbiterTest, DwrrDeficitDiesWithEmptyQueue)
 {
     // Classic DRR: deficit banks only while the queue stays backlogged;
     // an emptied queue resets to zero (no credit hoarding while idle).
-    mgmt(reg::kArbMode, static_cast<std::uint64_t>(ArbMode::kDwrr));
-    const auto fn = create_vf(1000, 256, 1);
+    pf_write(reg::kArbMode, static_cast<std::uint64_t>(ArbMode::kDwrr));
+    const auto fn = create_vf({{0, 256, 1000}}, 256, 1);
     set_weight(fn, 8);
     auto driver = make_driver(fn);
     std::vector<std::byte> buf(kDeviceBlockSize);
@@ -269,8 +201,8 @@ TEST_F(ArbiterTest, DwrrDeficitDiesWithEmptyQueue)
 
 TEST_F(ArbiterTest, LegacyWrrServiceFollowsWeights)
 {
-    const auto a = create_vf(1000, 512, 1);
-    const auto b = create_vf(4000, 512, 2);
+    const auto a = create_vf({{0, 512, 1000}}, 512, 1);
+    const auto b = create_vf({{0, 512, 4000}}, 512, 2);
     set_weight(a, 3);
     set_weight(b, 1);
     auto da = make_driver(a);
@@ -291,10 +223,10 @@ TEST_F(ArbiterTest, LegacyWrrServiceFollowsWeights)
 
 TEST_F(ArbiterTest, DwrrConvergesToWeightedShares)
 {
-    mgmt(reg::kArbMode, static_cast<std::uint64_t>(ArbMode::kDwrr));
-    mgmt(reg::kArbQuantum, 2);
-    const auto a = create_vf(1000, 512, 1);
-    const auto b = create_vf(4000, 512, 2);
+    pf_write(reg::kArbMode, static_cast<std::uint64_t>(ArbMode::kDwrr));
+    pf_write(reg::kArbQuantum, 2);
+    const auto a = create_vf({{0, 512, 1000}}, 512, 1);
+    const auto b = create_vf({{0, 512, 4000}}, 512, 2);
     set_weight(a, 4);
     set_weight(b, 1);
     auto da = make_driver(a);
@@ -315,10 +247,10 @@ TEST_F(ArbiterTest, DwrrConvergesToWeightedShares)
 
 TEST_F(ArbiterTest, DwrrSharesHoldUnderUnequalQueueDepths)
 {
-    mgmt(reg::kArbMode, static_cast<std::uint64_t>(ArbMode::kDwrr));
-    mgmt(reg::kArbQuantum, 2);
-    const auto a = create_vf(1000, 512, 1);
-    const auto b = create_vf(4000, 512, 2);
+    pf_write(reg::kArbMode, static_cast<std::uint64_t>(ArbMode::kDwrr));
+    pf_write(reg::kArbQuantum, 2);
+    const auto a = create_vf({{0, 512, 1000}}, 512, 1);
+    const auto b = create_vf({{0, 512, 4000}}, 512, 2);
     set_weight(b, 4);
     auto da = make_driver(a);
     auto db = make_driver(b);
@@ -356,7 +288,7 @@ TEST_F(ArbiterTest, RateLimitShapesThroughput)
 {
     // 1 MB/s with a one-block burst: 32 blocks of 1 KiB take ~31 ms
     // of accrual after the burst covers the first.
-    const auto fn = create_vf(1000, 256, 1);
+    const auto fn = create_vf({{0, 256, 1000}}, 256, 1);
     set_rate_limit(fn, 1'000'000, kDeviceBlockSize);
     auto driver = make_driver(fn);
     std::vector<std::byte> buf(32 * kDeviceBlockSize);
@@ -379,7 +311,7 @@ TEST_F(ArbiterTest, ScanCostStaysBoundedAt256Vfs)
     // must touch O(bitmap words), not O(active_vfs). With 256 slots
     // the bitmap is 4 words; budget a generous 12 words per grant.
     for (pcie::FunctionId fn = 1; fn <= 255; ++fn)
-        create_vf(1000 + 16ull * fn, 16, fn);
+        create_vf({{0, 16, 1000 + 16ull * fn}}, 16, fn);
     auto da = make_driver(1);
     auto db = make_driver(200);
     auto done_a = std::make_shared<std::uint64_t>(0);
@@ -399,7 +331,7 @@ TEST_F(ArbiterTest, ScanCostStaysBoundedAt256Vfs)
 
 TEST_F(ArbiterTest, ArbRegistersArePfOnly)
 {
-    const auto fn = create_vf(1000, 64, 1);
+    const auto fn = create_vf({{0, 64, 1000}}, 64, 1);
     EXPECT_EQ(controller_.mmio_write(fn, reg::kArbMode, 1, 8).code(),
               util::ErrorCode::kPermissionDenied);
     EXPECT_EQ(

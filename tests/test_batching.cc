@@ -10,19 +10,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstring>
-#include <memory>
 #include <vector>
 
-#include "drivers/function_driver.h"
-#include "extent/tree_image.h"
-#include "nesc/controller.h"
-#include "pcie/host_ring.h"
-#include "pcie/mmio.h"
-#include "storage/mem_block_device.h"
+#include "controller_rig.h"
 
 namespace nesc::ctrl {
 namespace {
+
+using test::ControllerRig;
+using test::RawGuest;
 
 /** 4-VF controller config with the given batching knobs. */
 ControllerConfig
@@ -35,164 +31,18 @@ config_with(std::uint32_t fetch_batch = 0, bool completion_batch = false)
     return cfg;
 }
 
-/** Controller harness with adjustable batching knobs. */
-class BatchHarness {
-  public:
-    explicit BatchHarness(const ControllerConfig &config = config_with())
-        : host_memory_(64 << 20), device_(device_config()), irq_(sim_),
-          controller_(sim_, host_memory_, device_, irq_, config),
-          bar_(controller_, 4096, controller_.num_functions())
-    {
-    }
-
-    static storage::MemBlockDeviceConfig
-    device_config()
-    {
-        storage::MemBlockDeviceConfig cfg;
-        cfg.capacity_bytes = 16 << 20;
-        return cfg;
-    }
-
-    pcie::FunctionId
-    create_vf(const extent::ExtentList &extents, std::uint64_t size_blocks,
-              pcie::FunctionId fn = 1)
-    {
-        auto image = extent::ExtentTreeImage::build(host_memory_, extents);
-        EXPECT_TRUE(image.is_ok());
-        trees_.push_back(std::move(image).value());
-        pf_write(reg::kMgmtVfId, fn);
-        pf_write(reg::kMgmtExtentRoot, trees_.back().root());
-        pf_write(reg::kMgmtDeviceSize, size_blocks);
-        mgmt(MgmtCommand::kCreateVf);
-        return fn;
-    }
-
-    void
-    pf_write(std::uint64_t offset, std::uint64_t value)
-    {
-        ASSERT_TRUE(controller_.mmio_write(0, offset, value, 8).is_ok());
-    }
-
-    void
-    mgmt(MgmtCommand command)
-    {
-        ASSERT_TRUE(controller_
-                        .mmio_write(0, reg::kMgmtCommand,
-                                    static_cast<std::uint64_t>(command), 8)
-                        .is_ok());
-        ASSERT_EQ(*controller_.mmio_read(0, reg::kMgmtStatus, 4),
-                  static_cast<std::uint64_t>(MgmtStatus::kOk));
-    }
-
-    void
-    add_window(pcie::FunctionId fn, pcie::HostAddr base,
-               std::uint64_t size)
-    {
-        pf_write(reg::kMgmtVfId, fn);
-        pf_write(reg::kDmaWindowBase, base);
-        pf_write(reg::kDmaWindowSize, size);
-        mgmt(MgmtCommand::kAddDmaWindow);
-    }
-
-    sim::Simulator sim_;
-    pcie::HostMemory host_memory_;
-    storage::MemBlockDevice device_;
-    pcie::InterruptController irq_;
-    Controller controller_;
-    pcie::BarPageRouter bar_;
-    std::vector<extent::ExtentTreeImage> trees_;
-};
-
-/** Hand-rolled guest rings with raw descriptor control. */
-struct RawGuest {
-    RawGuest(BatchHarness &h, pcie::FunctionId fn,
-             std::uint32_t entries = 32)
-        : h_(h), fn_(fn), entries_(entries)
-    {
-        const auto cmd_fp =
-            pcie::HostRing::footprint(entries, sizeof(CommandRecord));
-        const auto comp_fp = pcie::HostRing::footprint(
-            entries * 2, sizeof(CompletionRecord));
-        cmd_base_ = *h.host_memory_.alloc(cmd_fp, 64);
-        comp_base_ = *h.host_memory_.alloc(comp_fp, 64);
-        buffer_ = *h.host_memory_.alloc(64 * 1024, 4096);
-        EXPECT_TRUE(pcie::HostRing::create(h.host_memory_, cmd_base_,
-                                           entries, sizeof(CommandRecord))
-                        .is_ok());
-        EXPECT_TRUE(pcie::HostRing::create(h.host_memory_, comp_base_,
-                                           entries * 2,
-                                           sizeof(CompletionRecord))
-                        .is_ok());
-        EXPECT_TRUE(h.controller_
-                        .mmio_write(fn, reg::kCmdRingBase, cmd_base_, 8)
-                        .is_ok());
-        EXPECT_TRUE(h.controller_
-                        .mmio_write(fn, reg::kCompRingBase, comp_base_, 8)
-                        .is_ok());
-    }
-
-    void
-    push(const CommandRecord &rec)
-    {
-        auto ring = pcie::HostRing::attach(h_.host_memory_, cmd_base_);
-        ASSERT_TRUE(ring.is_ok());
-        std::vector<std::byte> buf(sizeof(rec));
-        std::memcpy(buf.data(), &rec, sizeof(rec));
-        ASSERT_TRUE(ring.value().push(buf).is_ok());
-    }
-
-    CommandRecord
-    valid_write(std::uint64_t vlba = 0, std::uint32_t nblocks = 1)
-    {
-        CommandRecord rec{};
-        rec.vlba = vlba;
-        rec.nblocks = nblocks;
-        rec.opcode = static_cast<std::uint8_t>(Opcode::kWrite);
-        rec.host_buffer = buffer_;
-        rec.tag = next_tag_++;
-        return rec;
-    }
-
-    void
-    doorbell()
-    {
-        EXPECT_TRUE(
-            h_.controller_.mmio_write(fn_, reg::kDoorbell, 1, 8).is_ok());
-    }
-
-    std::vector<CompletionRecord>
-    drain_completions()
-    {
-        std::vector<CompletionRecord> out;
-        auto ring = pcie::HostRing::attach(h_.host_memory_, comp_base_);
-        if (!ring.is_ok())
-            return out;
-        std::vector<std::byte> buf(sizeof(CompletionRecord));
-        for (;;) {
-            auto popped = ring.value().pop(buf);
-            if (!popped.is_ok() || !popped.value())
-                break;
-            CompletionRecord rec;
-            std::memcpy(&rec, buf.data(), sizeof(rec));
-            out.push_back(rec);
-        }
-        return out;
-    }
-
-    BatchHarness &h_;
-    pcie::FunctionId fn_;
-    std::uint32_t entries_;
-    pcie::HostAddr cmd_base_ = pcie::kNullHostAddr;
-    pcie::HostAddr comp_base_ = pcie::kNullHostAddr;
-    pcie::HostAddr buffer_ = pcie::kNullHostAddr;
-    std::uint64_t next_tag_ = 1;
-};
+/** The batching rig: 64 MiB of host memory, @p config on the device. */
+test::RigOptions
+rig(const ControllerConfig &config = config_with())
+{
+    return {.host_memory_bytes = 64 << 20, .config = config};
+}
 
 // --- Batching knob registers ----------------------------------------
 
 TEST(BatchingRegisters, PfOnlyWithPaperDefaults)
 {
-    BatchHarness h;
+    ControllerRig h(rig());
     const auto fn = h.create_vf({{0, 32, 1000}}, 32);
     // Defaults: both knobs off = paper-equivalent behavior.
     EXPECT_EQ(*h.controller_.mmio_read(0, reg::kFetchBatch, 8), 0u);
@@ -229,7 +79,7 @@ outcomes(const std::vector<CompletionRecord> &comps)
 std::vector<std::pair<std::uint64_t, std::uint32_t>>
 run_ring_of_writes(std::uint32_t fetch_batch, std::uint64_t *events = nullptr)
 {
-    BatchHarness h(config_with(fetch_batch));
+    ControllerRig h(rig(config_with(fetch_batch)));
     const auto fn = h.create_vf({{0, 64, 2000}}, 64);
     RawGuest g(h, fn);
     for (std::uint64_t i = 0; i < 12; ++i)
@@ -262,7 +112,7 @@ TEST(FetchBatching, DoorbellDuringDrainMergesIntoContinuation)
 {
     // A doorbell landing while a capped drain is in progress must not
     // spawn a second concurrent drain of the same ring.
-    BatchHarness h(config_with(/*fetch_batch=*/2));
+    ControllerRig h(rig(config_with(/*fetch_batch=*/2)));
     const auto fn = h.create_vf({{0, 64, 2000}}, 64);
     RawGuest g(h, fn);
     for (std::uint64_t i = 0; i < 6; ++i)
@@ -287,7 +137,7 @@ TEST(FetchBatching, DrainStopsAtRingCorruption)
     // The guest rewrites the ring's device-owned head counter between
     // the first capped fetch and its continuation. The continuation
     // must drop the drain as kRingCorrupt and fetch nothing more.
-    BatchHarness h(config_with(/*fetch_batch=*/2));
+    ControllerRig h(rig(config_with(/*fetch_batch=*/2)));
     const auto fn = h.create_vf({{0, 64, 2000}}, 64);
     RawGuest g(h, fn);
     for (std::uint64_t i = 0; i < 8; ++i)
@@ -318,20 +168,11 @@ TEST(FetchBatching, QuarantinedVfContributesZeroBatchedWork)
     // descriptors still in the ring and a continuation's worth of
     // batch budget unspent: nothing further may be fetched, and later
     // doorbells are ignored outright.
-    BatchHarness h(config_with(/*fetch_batch=*/1));
+    ControllerRig h(rig(config_with(/*fetch_batch=*/1)));
     const auto fn = h.create_vf({{0, 64, 2000}}, 64);
     RawGuest g(h, fn);
     // Confine the fn: windows cover its rings and its data buffer.
-    h.add_window(fn, g.cmd_base_,
-                 pcie::HostRing::footprint(g.entries_,
-                                           sizeof(CommandRecord)));
-    h.add_window(fn, g.comp_base_,
-                 pcie::HostRing::footprint(g.entries_ * 2,
-                                           sizeof(CompletionRecord)));
-    h.add_window(fn, g.buffer_, 64 * 1024);
-    const auto [tree_base, tree_size] = h.trees_.back().bounds();
-    if (tree_size != 0)
-        h.add_window(fn, tree_base, tree_size);
+    g.window_all();
 
     const pcie::HostAddr outside = *h.host_memory_.alloc(4096, 4096);
     g.push(g.valid_write(0));
@@ -376,7 +217,7 @@ TEST(CompletionBatching, SameOutcomesOneMsiPerFlush)
         // spacing so back-to-back completions actually share a flush.
         ControllerConfig cfg = config_with(0, completion_batch);
         cfg.completion_cost = 5000;
-        BatchHarness h(cfg);
+        ControllerRig h(rig(cfg));
         const auto fn = h.create_vf({{0, 64, 2000}}, 64);
         RawGuest g(h, fn);
         for (std::uint64_t i = 0; i < 8; ++i)
@@ -398,7 +239,7 @@ TEST(CompletionBatching, DeliversWatchdogAborts)
     // A write into an unmapped hole parks on a fault; the command
     // watchdog aborts it. The kAborted completion must come through
     // the batched flush exactly like the unbatched path.
-    BatchHarness h(config_with(0, /*completion_batch=*/true));
+    ControllerRig h(rig(config_with(0, /*completion_batch=*/true)));
     const auto fn = h.create_vf({{0, 32, 2000}}, 64); // upper half holes
     RawGuest g(h, fn);
     ASSERT_TRUE(
@@ -421,19 +262,10 @@ TEST(CompletionBatching, DeliversQuarantineAbortsInTagOrder)
     // order. The trigger is a sixth descriptor pointing outside the
     // fn's DMA windows while tags 1-5 were fetched in the same drain
     // and are still pending.
-    BatchHarness h(config_with(0, /*completion_batch=*/true));
+    ControllerRig h(rig(config_with(0, /*completion_batch=*/true)));
     const auto fn = h.create_vf({{0, 64, 2000}}, 64);
     RawGuest g(h, fn);
-    h.add_window(fn, g.cmd_base_,
-                 pcie::HostRing::footprint(g.entries_,
-                                           sizeof(CommandRecord)));
-    h.add_window(fn, g.comp_base_,
-                 pcie::HostRing::footprint(g.entries_ * 2,
-                                           sizeof(CompletionRecord)));
-    h.add_window(fn, g.buffer_, 64 * 1024);
-    const auto [tree_base, tree_size] = h.trees_.back().bounds();
-    if (tree_size != 0)
-        h.add_window(fn, tree_base, tree_size);
+    g.window_all();
 
     for (std::uint64_t i = 0; i < 5; ++i)
         g.push(g.valid_write(i, /*nblocks=*/4));

@@ -6,91 +6,14 @@
  */
 #include <gtest/gtest.h>
 
-#include "drivers/function_driver.h"
-#include "extent/tree_image.h"
-#include "nesc/controller.h"
-#include "pcie/mmio.h"
-#include "storage/mem_block_device.h"
+#include "controller_rig.h"
 #include "workloads/dd.h"
 
 namespace nesc::ctrl {
 namespace {
 
 /** Bare-metal controller harness (no hypervisor software). */
-class ControllerTest : public ::testing::Test {
-  protected:
-    ControllerTest()
-        : host_memory_(32 << 20), device_(device_config()), irq_(sim_),
-          controller_(sim_, host_memory_, device_, irq_,
-                      controller_config()),
-          bar_(controller_, 4096, controller_.num_functions())
-    {
-    }
-
-    static storage::MemBlockDeviceConfig
-    device_config()
-    {
-        storage::MemBlockDeviceConfig cfg;
-        cfg.capacity_bytes = 16 << 20;
-        return cfg;
-    }
-
-    static ControllerConfig
-    controller_config()
-    {
-        ControllerConfig cfg;
-        cfg.max_vfs = 4;
-        return cfg;
-    }
-
-    /** Creates a VF mapped by @p extents through the PF mgmt regs. */
-    pcie::FunctionId
-    create_vf(const extent::ExtentList &extents,
-              std::uint64_t size_blocks, pcie::FunctionId fn = 1)
-    {
-        auto image = extent::ExtentTreeImage::build(host_memory_, extents);
-        EXPECT_TRUE(image.is_ok());
-        trees_.push_back(std::move(image).value());
-        EXPECT_TRUE(
-            controller_.mmio_write(0, reg::kMgmtVfId, fn, 8).is_ok());
-        EXPECT_TRUE(controller_
-                        .mmio_write(0, reg::kMgmtExtentRoot,
-                                    trees_.back().root(), 8)
-                        .is_ok());
-        EXPECT_TRUE(controller_
-                        .mmio_write(0, reg::kMgmtDeviceSize, size_blocks, 8)
-                        .is_ok());
-        EXPECT_TRUE(
-            controller_
-                .mmio_write(0, reg::kMgmtCommand,
-                            static_cast<std::uint64_t>(
-                                MgmtCommand::kCreateVf),
-                            8)
-                .is_ok());
-        EXPECT_EQ(*controller_.mmio_read(0, reg::kMgmtStatus, 4),
-                  static_cast<std::uint64_t>(MgmtStatus::kOk));
-        return fn;
-    }
-
-    /** A driver bound to @p fn. */
-    std::unique_ptr<drv::FunctionDriver>
-    make_driver(pcie::FunctionId fn)
-    {
-        auto driver = std::make_unique<drv::FunctionDriver>(
-            sim_, host_memory_, bar_, irq_, fn,
-            drv::FunctionDriverConfig{});
-        EXPECT_TRUE(driver->init().is_ok());
-        return driver;
-    }
-
-    sim::Simulator sim_;
-    pcie::HostMemory host_memory_;
-    storage::MemBlockDevice device_;
-    pcie::InterruptController irq_;
-    Controller controller_;
-    pcie::BarPageRouter bar_;
-    std::vector<extent::ExtentTreeImage> trees_;
-};
+class ControllerTest : public ::testing::Test, public test::ControllerRig {};
 
 // --- Registers & lifecycle --------------------------------------------------
 
@@ -290,18 +213,7 @@ TEST_F(ControllerTest, WriteMissRaisesFaultAndStalls)
     auto image = extent::ExtentTreeImage::build(
         host_memory_, {{0, 8, 1000}, {20, 1, 3000}});
     ASSERT_TRUE(image.is_ok());
-    ASSERT_TRUE(controller_.mmio_write(0, reg::kMgmtVfId, fn, 8).is_ok());
-    ASSERT_TRUE(controller_
-                    .mmio_write(0, reg::kMgmtExtentRoot, image->root(), 8)
-                    .is_ok());
-    ASSERT_TRUE(controller_
-                    .mmio_write(0, reg::kMgmtCommand,
-                                static_cast<std::uint64_t>(
-                                    MgmtCommand::kSetExtentRoot),
-                                8)
-                    .is_ok());
-    ASSERT_EQ(*controller_.mmio_read(0, reg::kMgmtStatus, 4),
-              static_cast<std::uint64_t>(MgmtStatus::kOk));
+    set_extent_root(fn, image->root());
     ASSERT_TRUE(
         controller_.mmio_write(fn, reg::kRewalkTree, 1, 4).is_ok());
     sim_.run_until_idle();
@@ -322,18 +234,7 @@ TEST_F(ControllerTest, PrunedSubtreeFaultsOnRead)
     extent::ExtentTreeImage &image = trees_.back();
     ASSERT_TRUE(image.prune_range(16, 16).is_ok());
 
-    ASSERT_TRUE(controller_.mmio_write(0, reg::kMgmtVfId, 1, 8).is_ok());
-    ASSERT_TRUE(controller_
-                    .mmio_write(0, reg::kMgmtExtentRoot, image.root(), 8)
-                    .is_ok());
-    ASSERT_TRUE(
-        controller_.mmio_write(0, reg::kMgmtDeviceSize, 64, 8).is_ok());
-    ASSERT_TRUE(controller_
-                    .mmio_write(0, reg::kMgmtCommand,
-                                static_cast<std::uint64_t>(
-                                    MgmtCommand::kCreateVf),
-                                8)
-                    .is_ok());
+    create_vf_at_root(image.root(), 64, 1);
     auto driver = make_driver(1);
 
     bool completed = false;
@@ -368,13 +269,8 @@ TEST_F(ControllerTest, FailMissCompletesStalledWritesWithError)
     ASSERT_FALSE(completed);
 
     // Hypervisor cannot allocate: fail the miss (Fig. 5b error leg).
-    ASSERT_TRUE(controller_.mmio_write(0, reg::kMgmtVfId, fn, 8).is_ok());
-    ASSERT_TRUE(controller_
-                    .mmio_write(0, reg::kMgmtCommand,
-                                static_cast<std::uint64_t>(
-                                    MgmtCommand::kFailMiss),
-                                8)
-                    .is_ok());
+    pf_write(reg::kMgmtVfId, fn);
+    mgmt(MgmtCommand::kFailMiss);
     sim_.run_until_idle();
     EXPECT_TRUE(completed);
     EXPECT_EQ(status, CompletionStatus::kWriteFailed);
@@ -425,12 +321,7 @@ TEST_F(ControllerTest, MgmtBtlbFlush)
     std::vector<std::byte> buf(1024);
     ASSERT_TRUE(driver->read_sync(0, 1, buf).is_ok());
     EXPECT_GT(controller_.btlb().size(), 0u);
-    ASSERT_TRUE(controller_
-                    .mmio_write(0, reg::kMgmtCommand,
-                                static_cast<std::uint64_t>(
-                                    MgmtCommand::kFlushBtlb),
-                                8)
-                    .is_ok());
+    mgmt(MgmtCommand::kFlushBtlb);
     EXPECT_EQ(controller_.btlb().size(), 0u);
 }
 
@@ -446,15 +337,8 @@ TEST_F(ControllerTest, DeleteBusyVfRefused)
                              [](CompletionStatus) {})
                     .is_ok());
     sim_.run_until_idle();
-    ASSERT_TRUE(controller_.mmio_write(0, reg::kMgmtVfId, fn, 8).is_ok());
-    ASSERT_TRUE(controller_
-                    .mmio_write(0, reg::kMgmtCommand,
-                                static_cast<std::uint64_t>(
-                                    MgmtCommand::kDeleteVf),
-                                8)
-                    .is_ok());
-    EXPECT_EQ(*controller_.mmio_read(0, reg::kMgmtStatus, 4),
-              static_cast<std::uint64_t>(MgmtStatus::kError));
+    pf_write(reg::kMgmtVfId, fn);
+    mgmt(MgmtCommand::kDeleteVf, MgmtStatus::kError);
 }
 
 TEST_F(ControllerTest, VfExtentRootWriteDenied)
@@ -473,18 +357,7 @@ TEST_F(ControllerTest, VfExtentRootWriteDenied)
     auto image = extent::ExtentTreeImage::build(host_memory_,
                                                 {{0, 8, 2000}});
     ASSERT_TRUE(image.is_ok());
-    ASSERT_TRUE(controller_.mmio_write(0, reg::kMgmtVfId, fn, 8).is_ok());
-    ASSERT_TRUE(controller_
-                    .mmio_write(0, reg::kMgmtExtentRoot, image->root(), 8)
-                    .is_ok());
-    ASSERT_TRUE(controller_
-                    .mmio_write(0, reg::kMgmtCommand,
-                                static_cast<std::uint64_t>(
-                                    MgmtCommand::kSetExtentRoot),
-                                8)
-                    .is_ok());
-    EXPECT_EQ(*controller_.mmio_read(0, reg::kMgmtStatus, 4),
-              static_cast<std::uint64_t>(MgmtStatus::kOk));
+    set_extent_root(fn, image->root());
     EXPECT_EQ(*controller_.mmio_read(fn, reg::kExtentTreeRoot, 8),
               image->root());
 }
@@ -503,27 +376,13 @@ TEST_F(ControllerTest, DeleteVfWithPendingFetchRefused)
                              [&](CompletionStatus) { completed = true; })
                     .is_ok());
     // Doorbell rung, fetch still in flight (doorbell_latency pending).
-    ASSERT_TRUE(controller_.mmio_write(0, reg::kMgmtVfId, fn, 8).is_ok());
-    ASSERT_TRUE(controller_
-                    .mmio_write(0, reg::kMgmtCommand,
-                                static_cast<std::uint64_t>(
-                                    MgmtCommand::kDeleteVf),
-                                8)
-                    .is_ok());
-    EXPECT_EQ(*controller_.mmio_read(0, reg::kMgmtStatus, 4),
-              static_cast<std::uint64_t>(MgmtStatus::kError));
+    pf_write(reg::kMgmtVfId, fn);
+    mgmt(MgmtCommand::kDeleteVf, MgmtStatus::kError);
 
     sim_.run_until_idle();
     EXPECT_TRUE(completed);
     // Quiescent now: the delete goes through.
-    ASSERT_TRUE(controller_
-                    .mmio_write(0, reg::kMgmtCommand,
-                                static_cast<std::uint64_t>(
-                                    MgmtCommand::kDeleteVf),
-                                8)
-                    .is_ok());
-    EXPECT_EQ(*controller_.mmio_read(0, reg::kMgmtStatus, 4),
-              static_cast<std::uint64_t>(MgmtStatus::kOk));
+    mgmt(MgmtCommand::kDeleteVf);
 }
 
 TEST_F(ControllerTest, FailMissFailsWritesAndResumesReads)
@@ -568,13 +427,8 @@ TEST_F(ControllerTest, FailMissFailsWritesAndResumesReads)
     ASSERT_FALSE(w2_done);
     ASSERT_FALSE(r1_done);
 
-    ASSERT_TRUE(controller_.mmio_write(0, reg::kMgmtVfId, fn, 8).is_ok());
-    ASSERT_TRUE(controller_
-                    .mmio_write(0, reg::kMgmtCommand,
-                                static_cast<std::uint64_t>(
-                                    MgmtCommand::kFailMiss),
-                                8)
-                    .is_ok());
+    pf_write(reg::kMgmtVfId, fn);
+    mgmt(MgmtCommand::kFailMiss);
     sim_.run_until_idle();
     EXPECT_TRUE(w1_done && w2_done && r1_done);
     EXPECT_EQ(w1, CompletionStatus::kWriteFailed);

@@ -8,13 +8,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "controller_rig.h"
 #include "extent/walker.h"
 #include "fs/extent_map.h"
-#include "storage/faulty_block_device.h"
 #include "util/log.h"
 #include "virt/testbed.h"
 #include "workloads/dd.h"
@@ -337,6 +338,55 @@ TEST_F(DriversTest, ConcurrentWriteMissesOnSparseVfsServiceCleanly)
     EXPECT_FALSE(log.contains("fault service"));
 }
 
+TEST_F(DriversTest, WriteMissOnFullHostVolumeFailsTheWrite)
+{
+    // The host volume cannot back a write miss: the PF fails the miss,
+    // so the stalled write completes with an error instead of waiting
+    // for a driver timeout, a read queued behind it still completes,
+    // and the volume keeps none of the partial allocation.
+    util::ScopedLogSink log;
+    constexpr std::uint64_t kImageBlocks = 2048;
+    auto ino = bed_->create_backing_file("/full.img", kImageBlocks, false);
+    ASSERT_TRUE(ino.is_ok()) << ino.status().to_string();
+    auto fn = bed_->pf().create_vf(*ino, kImageBlocks);
+    ASSERT_TRUE(fn.is_ok()) << fn.status().to_string();
+    // Leave fewer free blocks than one allocation batch.
+    fs::NestFs &hv = bed_->hv_fs();
+    ASSERT_TRUE(
+        bed_->create_backing_file("/filler.img", hv.free_blocks() - 8, true)
+            .is_ok());
+    const std::uint64_t free_before = hv.free_blocks();
+    ASSERT_GT(free_before, 0u);
+    ASSERT_LT(free_before, bed_->config().pf.allocation_batch_blocks);
+
+    FunctionDriver driver(bed_->sim(), bed_->host_memory(), bed_->bar(),
+                          bed_->irq(), *fn, bed_->config().vf_driver);
+    ASSERT_TRUE(driver.init().is_ok());
+    auto buffer = bed_->host_memory().alloc(2 * 1024, 64);
+    ASSERT_TRUE(buffer.is_ok());
+    std::optional<ctrl::CompletionStatus> wrote, read;
+    ASSERT_TRUE(driver
+                    .submit(ctrl::Opcode::kWrite, 100, 1, *buffer,
+                            [&](ctrl::CompletionStatus s) { wrote = s; })
+                    .is_ok());
+    ASSERT_TRUE(driver
+                    .submit(ctrl::Opcode::kRead, 500, 1, *buffer + 1024,
+                            [&](ctrl::CompletionStatus s) { read = s; })
+                    .is_ok());
+    bed_->sim().run_until_idle();
+    ASSERT_TRUE(wrote.has_value());
+    EXPECT_EQ(*wrote, ctrl::CompletionStatus::kWriteFailed);
+    ASSERT_TRUE(read.has_value());
+    EXPECT_EQ(*read, ctrl::CompletionStatus::kOk);
+    EXPECT_FALSE(log.contains("fault service"));
+
+    EXPECT_EQ(hv.free_blocks(), free_before);
+    auto report = hv.fsck();
+    ASSERT_TRUE(report.is_ok()) << report.status().to_string();
+    EXPECT_TRUE(report->clean)
+        << (report->errors.empty() ? "" : report->errors.front());
+}
+
 // --- PfDriver register sequences -----------------------------------------
 
 /** Forwards to the controller and records every access it sees. */
@@ -438,33 +488,23 @@ TEST_F(DriversTest, PfDriverCallsIssueTheirRegisterSequences)
 sim::Duration
 timed_retry_run(double jitter, std::uint64_t jitter_seed)
 {
-    sim::Simulator sim;
-    pcie::HostMemory host_memory(16 << 20);
-    storage::MemBlockDeviceConfig mcfg;
-    mcfg.capacity_bytes = 4 << 20;
-    storage::MemBlockDevice inner(mcfg);
     storage::FaultPlan plan;
     plan.seed = 9;
     plan.schedule.push_back({0, storage::InjectedFault::kTransient});
     plan.schedule.push_back({1, storage::InjectedFault::kTransient});
-    storage::FaultyBlockDevice faulty(inner, plan);
-    pcie::InterruptController irq(sim);
-    ctrl::Controller controller(sim, host_memory, faulty, irq);
-    pcie::BarPageRouter bar(controller, 4096,
-                            controller.num_functions());
-
-    FunctionDriverConfig config;
-    config.retry_jitter = jitter;
-    config.jitter_seed = jitter_seed;
-    FunctionDriver driver(sim, host_memory, bar, irq,
-                          pcie::kPhysicalFunctionId, config);
-    EXPECT_TRUE(driver.init().is_ok());
+    test::ControllerRig h({.host_memory_bytes = 16 << 20,
+                           .media_bytes = 4 << 20,
+                           .config = {},
+                           .faults = plan});
+    auto driver = h.make_driver(
+        pcie::kPhysicalFunctionId,
+        {.retry_jitter = jitter, .jitter_seed = jitter_seed});
 
     std::vector<std::byte> buf(1024);
-    const sim::Time start = sim.now();
-    EXPECT_TRUE(driver.read_sync(0, 1, buf).is_ok());
-    EXPECT_EQ(driver.retries(), 2u);
-    return sim.now() - start;
+    const sim::Time start = h.sim_.now();
+    EXPECT_TRUE(driver->read_sync(0, 1, buf).is_ok());
+    EXPECT_EQ(driver->retries(), 2u);
+    return h.sim_.now() - start;
 }
 
 TEST(RetryJitter, ZeroJitterKeepsLegacyExponentialBackoff)

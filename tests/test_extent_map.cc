@@ -155,6 +155,29 @@ TEST(ExtentMap, RemoveFromExactBoundary)
     ASSERT_EQ(freed.size(), 1u);
 }
 
+TEST(ExtentMap, RemoveRangeSplitsBothEnds)
+{
+    // [3, 10) cuts the tail off the first extent, takes the middle one
+    // whole and the head off the last; nothing outside moves.
+    ExtentList list = {{0, 5, 100}, {5, 2, 300}, {8, 4, 200}};
+    std::vector<std::pair<Plba, std::uint64_t>> freed;
+    map_remove_from(list, 3, freed, 10);
+    ASSERT_EQ(list.size(), 2u);
+    EXPECT_EQ(list[0], (Extent{0, 3, 100}));
+    EXPECT_EQ(list[1], (Extent{10, 2, 202}));
+    ASSERT_EQ(freed.size(), 3u);
+    EXPECT_EQ(freed[0], std::make_pair(Plba{103}, std::uint64_t{2}));
+    EXPECT_EQ(freed[1], std::make_pair(Plba{300}, std::uint64_t{2}));
+    EXPECT_EQ(freed[2], std::make_pair(Plba{200}, std::uint64_t{2}));
+
+    // Inside one extent: it splits in two.
+    list = {{0, 10, 100}};
+    freed.clear();
+    map_remove_from(list, 4, freed, 6);
+    EXPECT_EQ(list, (ExtentList{{0, 4, 100}, {6, 4, 106}}));
+    EXPECT_EQ(freed.size(), 1u);
+}
+
 TEST(ExtentMapProperty, RandomInsertsMatchFlatReference)
 {
     util::Rng rng(99);

@@ -8,109 +8,12 @@
  */
 #include <gtest/gtest.h>
 
-#include "drivers/function_driver.h"
-#include "extent/tree_image.h"
-#include "nesc/controller.h"
-#include "pcie/mmio.h"
-#include "storage/faulty_block_device.h"
-#include "storage/mem_block_device.h"
+#include "controller_rig.h"
 
 namespace nesc::ctrl {
 namespace {
 
-/** Bare-metal harness with a fault-injecting media layer. */
-class FaultHarness {
-  public:
-    explicit FaultHarness(const storage::FaultPlan &plan)
-        : host_memory_(32 << 20), inner_(inner_config()),
-          faulty_(inner_, plan), irq_(sim_),
-          controller_(sim_, host_memory_, faulty_, irq_,
-                      controller_config()),
-          bar_(controller_, 4096, controller_.num_functions())
-    {
-    }
-
-    static storage::MemBlockDeviceConfig
-    inner_config()
-    {
-        storage::MemBlockDeviceConfig cfg;
-        cfg.capacity_bytes = 16 << 20;
-        return cfg;
-    }
-
-    static ControllerConfig
-    controller_config()
-    {
-        ControllerConfig cfg;
-        cfg.max_vfs = 4;
-        return cfg;
-    }
-
-    pcie::FunctionId
-    create_vf(const extent::ExtentList &extents, std::uint64_t size_blocks,
-              pcie::FunctionId fn = 1)
-    {
-        auto image = extent::ExtentTreeImage::build(host_memory_, extents);
-        EXPECT_TRUE(image.is_ok());
-        trees_.push_back(std::move(image).value());
-        EXPECT_TRUE(
-            controller_.mmio_write(0, reg::kMgmtVfId, fn, 8).is_ok());
-        EXPECT_TRUE(controller_
-                        .mmio_write(0, reg::kMgmtExtentRoot,
-                                    trees_.back().root(), 8)
-                        .is_ok());
-        EXPECT_TRUE(controller_
-                        .mmio_write(0, reg::kMgmtDeviceSize, size_blocks, 8)
-                        .is_ok());
-        EXPECT_TRUE(controller_
-                        .mmio_write(0, reg::kMgmtCommand,
-                                    static_cast<std::uint64_t>(
-                                        MgmtCommand::kCreateVf),
-                                    8)
-                        .is_ok());
-        EXPECT_EQ(*controller_.mmio_read(0, reg::kMgmtStatus, 4),
-                  static_cast<std::uint64_t>(MgmtStatus::kOk));
-        return fn;
-    }
-
-    std::unique_ptr<drv::FunctionDriver>
-    make_driver(pcie::FunctionId fn,
-                const drv::FunctionDriverConfig &config = {})
-    {
-        auto driver = std::make_unique<drv::FunctionDriver>(
-            sim_, host_memory_, bar_, irq_, fn, config);
-        EXPECT_TRUE(driver->init().is_ok());
-        return driver;
-    }
-
-    /** Repoints @p fn's tree via the PF mgmt block. */
-    void
-    set_extent_root(pcie::FunctionId fn, pcie::HostAddr root)
-    {
-        ASSERT_TRUE(
-            controller_.mmio_write(0, reg::kMgmtVfId, fn, 8).is_ok());
-        ASSERT_TRUE(controller_
-                        .mmio_write(0, reg::kMgmtExtentRoot, root, 8)
-                        .is_ok());
-        ASSERT_TRUE(controller_
-                        .mmio_write(0, reg::kMgmtCommand,
-                                    static_cast<std::uint64_t>(
-                                        MgmtCommand::kSetExtentRoot),
-                                    8)
-                        .is_ok());
-        ASSERT_EQ(*controller_.mmio_read(0, reg::kMgmtStatus, 4),
-                  static_cast<std::uint64_t>(MgmtStatus::kOk));
-    }
-
-    sim::Simulator sim_;
-    pcie::HostMemory host_memory_;
-    storage::MemBlockDevice inner_;
-    storage::FaultyBlockDevice faulty_;
-    pcie::InterruptController irq_;
-    Controller controller_;
-    pcie::BarPageRouter bar_;
-    std::vector<extent::ExtentTreeImage> trees_;
-};
+using test::ControllerRig;
 
 // --- Media faults through the device layer --------------------------
 
@@ -267,12 +170,12 @@ TEST(FaultInjectionTest, TransientReadErrorRetriedToSuccess)
     plan.seed = 42;
     // First media op is the VF's read: fail it transiently, once.
     plan.schedule.push_back({0, storage::InjectedFault::kTransient});
-    FaultHarness h(plan);
+    ControllerRig h({.faults = plan});
     const auto fn = h.create_vf({{0, 32, 1000}}, 32);
     auto driver = h.make_driver(fn);
 
     std::vector<std::byte> data(1024, std::byte{0x77});
-    ASSERT_TRUE(h.inner_.write(1000 * 1024, data).is_ok());
+    ASSERT_TRUE(h.device_.write(1000 * 1024, data).is_ok());
 
     std::vector<std::byte> buf(1024);
     EXPECT_TRUE(driver->read_sync(0, 1, buf).is_ok());
@@ -280,14 +183,14 @@ TEST(FaultInjectionTest, TransientReadErrorRetriedToSuccess)
     EXPECT_EQ(driver->retries(), 1u);
     EXPECT_EQ(h.controller_.counters().get("media_read_errors"), 1u);
     EXPECT_EQ(h.controller_.stats(fn).media_errors, 1u);
-    EXPECT_EQ(h.faulty_.counters().get("transient_faults"), 1u);
+    EXPECT_EQ(h.faulty_->counters().get("transient_faults"), 1u);
 }
 
 TEST(FaultInjectionTest, HardReadErrorSurfacesAfterRetriesExhausted)
 {
     storage::FaultPlan plan;
     plan.bad_blocks.push_back({.first_block = 1000, .nblocks = 4});
-    FaultHarness h(plan);
+    ControllerRig h({.faults = plan});
     const auto fn = h.create_vf({{0, 32, 1000}}, 32);
     auto driver = h.make_driver(fn);
 
@@ -303,7 +206,7 @@ TEST(FaultInjectionTest, HardWriteErrorSurfaces)
 {
     storage::FaultPlan plan;
     plan.bad_blocks.push_back({.first_block = 1002, .nblocks = 1});
-    FaultHarness h(plan);
+    ControllerRig h({.faults = plan});
     const auto fn = h.create_vf({{0, 32, 1000}}, 32);
     auto driver = h.make_driver(fn);
 
@@ -319,7 +222,7 @@ TEST(FaultInjectionTest, HardWriteErrorSurfaces)
 TEST(FaultInjectionTest, CorruptTreeNodeFaultsOnlyOffendingVf)
 {
     storage::FaultPlan plan;
-    FaultHarness h(plan);
+    ControllerRig h({.faults = plan});
     const auto vf1 = h.create_vf({{0, 32, 1000}}, 32, 1);
     const auto vf2 = h.create_vf({{0, 32, 2000}}, 32, 2);
     auto d1 = h.make_driver(vf1);
@@ -381,7 +284,7 @@ TEST(FaultInjectionTest, CorruptTreeNodeFaultsOnlyOffendingVf)
 TEST(FaultInjectionTest, WatchdogAbortsAndFlrRecoversWedgedVf)
 {
     storage::FaultPlan plan;
-    FaultHarness h(plan);
+    ControllerRig h({.faults = plan});
     // Mapping covers blocks 0..7 of a 32-block virtual disk; there is
     // no hypervisor in this harness, so an unmapped write wedges the
     // VF until something aborts it.

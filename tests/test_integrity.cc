@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "blocklayer/device_block_io.h"
+#include "controller_rig.h"
 #include "drivers/function_driver.h"
 #include "drivers/pf_driver.h"
 #include "extent/tree_image.h"
@@ -313,101 +314,25 @@ TEST(StickyCorruption, DeterministicUnderFixedSeed)
 namespace nesc::ctrl {
 namespace {
 
-/** Bare-metal controller with a checksum sidecar on the local media. */
-class IntegrityHarness {
-  public:
-    explicit IntegrityHarness(std::uint64_t data_blocks = 4096)
-        : host_memory_(32 << 20), device_(media(data_blocks)), irq_(sim_),
-          controller_(sim_, host_memory_, device_, irq_, config()),
-          bar_(controller_, 4096, controller_.num_functions())
-    {
-        auto map = storage::IntegrityMap::format(device_, data_blocks);
-        EXPECT_TRUE(map.is_ok()) << map.status().to_string();
-        map_ = std::move(map).value();
-        controller_.attach_integrity(map_.get());
-    }
+using test::ControllerRig;
 
-    static storage::MemBlockDeviceConfig
-    media(std::uint64_t data_blocks)
-    {
-        storage::MemBlockDeviceConfig cfg;
-        cfg.capacity_bytes =
-            (data_blocks +
-             storage::IntegrityMap::sidecar_blocks(data_blocks, 1024)) *
-            1024;
-        return cfg;
-    }
+/** The integrity rig: 4096 data blocks with an attached CRC sidecar. */
+const test::RigOptions kRig{.sidecar_data_blocks = 4096};
 
-    static ControllerConfig
-    config()
-    {
-        ControllerConfig cfg;
-        cfg.max_vfs = 4;
-        return cfg;
-    }
-
-    /** Identity-mapped VF: vLBA == pLBA over [0, size_blocks). */
-    pcie::FunctionId
-    create_identity_vf(std::uint64_t size_blocks, pcie::FunctionId fn = 1)
-    {
-        extent::ExtentList extents{{0, size_blocks, 0}};
-        auto image = extent::ExtentTreeImage::build(host_memory_, extents);
-        EXPECT_TRUE(image.is_ok());
-        trees_.push_back(std::move(image).value());
-        EXPECT_TRUE(
-            controller_.mmio_write(0, reg::kMgmtVfId, fn, 8).is_ok());
-        EXPECT_TRUE(controller_
-                        .mmio_write(0, reg::kMgmtExtentRoot,
-                                    trees_.back().root(), 8)
-                        .is_ok());
-        EXPECT_TRUE(controller_
-                        .mmio_write(0, reg::kMgmtDeviceSize, size_blocks, 8)
-                        .is_ok());
-        EXPECT_TRUE(controller_
-                        .mmio_write(0, reg::kMgmtCommand,
-                                    static_cast<std::uint64_t>(
-                                        MgmtCommand::kCreateVf),
-                                    8)
-                        .is_ok());
-        EXPECT_EQ(*controller_.mmio_read(0, reg::kMgmtStatus, 4),
-                  static_cast<std::uint64_t>(MgmtStatus::kOk));
-        return fn;
-    }
-
-    std::unique_ptr<drv::FunctionDriver>
-    make_driver(pcie::FunctionId fn)
-    {
-        auto driver = std::make_unique<drv::FunctionDriver>(
-            sim_, host_memory_, bar_, irq_, fn,
-            drv::FunctionDriverConfig{});
-        EXPECT_TRUE(driver->init().is_ok());
-        return driver;
-    }
-
-    /** Flips one stored bit of pLBA @p plba behind the controller. */
-    void
-    damage_block(std::uint64_t plba, std::size_t byte = 100)
-    {
-        std::vector<std::byte> raw(1024);
-        ASSERT_TRUE(device_.read(plba * 1024, raw).is_ok());
-        raw[byte] ^= std::byte{0x04};
-        ASSERT_TRUE(device_.write(plba * 1024, raw).is_ok());
-    }
-
-    sim::Simulator sim_;
-    pcie::HostMemory host_memory_;
-    storage::MemBlockDevice device_;
-    pcie::InterruptController irq_;
-    Controller controller_;
-    pcie::BarPageRouter bar_;
-    std::unique_ptr<storage::IntegrityMap> map_;
-    std::vector<extent::ExtentTreeImage> trees_;
-};
+/** Flips one stored bit of pLBA @p plba behind the controller. */
+void
+damage_block(ControllerRig &h, std::uint64_t plba, std::size_t byte = 100)
+{
+    std::vector<std::byte> raw(1024);
+    ASSERT_TRUE(h.device_.read(plba * 1024, raw).is_ok());
+    raw[byte] ^= std::byte{0x04};
+    ASSERT_TRUE(h.device_.write(plba * 1024, raw).is_ok());
+}
 
 TEST(ControllerIntegrity, CleanPathRecordsAndVerifies)
 {
-    IntegrityHarness h;
-    auto vf = h.create_identity_vf(256);
+    ControllerRig h(kRig);
+    auto vf = h.create_vf({{0, 256, 0}}, 256);
     auto drv = h.make_driver(vf);
     std::vector<std::byte> out(8 * 1024), in(8 * 1024);
     wl::fill_pattern(2, 0, out);
@@ -426,60 +351,53 @@ TEST(ControllerIntegrity, FailedChecksumWriteFailsTheBlockWrite)
     // checksum write fails, the data write must not be acknowledged:
     // after a restart the block could no longer be verified.
     constexpr std::uint64_t kData = 256;
-    storage::MemBlockDevice media(IntegrityHarness::media(kData));
+    ControllerRig h({.host_memory_bytes = 8 << 20,
+                     .media_bytes = test::sidecar_media_bytes(kData)});
     // Count the media operations formatting takes, so the injected
     // fault lands on the first checksum write after it.
     std::uint64_t format_ops = 0;
     {
-        storage::FaultyBlockDevice probe(media, storage::FaultPlan{});
+        storage::FaultyBlockDevice probe(h.device_, storage::FaultPlan{});
         ASSERT_TRUE(storage::IntegrityMap::format(probe, kData).is_ok());
         format_ops = probe.ops_seen();
     }
     storage::FaultPlan plan;
     plan.schedule.push_back({format_ops, storage::InjectedFault::kWriteError});
-    storage::FaultyBlockDevice sidecar(media, plan);
+    storage::FaultyBlockDevice sidecar(h.device_, plan);
     auto map = storage::IntegrityMap::format(sidecar, kData);
     ASSERT_TRUE(map.is_ok()) << map.status().to_string();
+    h.controller_.attach_integrity(map->get());
+    auto pf = h.make_driver(pcie::kPhysicalFunctionId);
 
-    sim::Simulator sim;
-    pcie::HostMemory memory(8 << 20);
-    pcie::InterruptController irq(sim);
-    Controller controller(sim, memory, media, irq,
-                          IntegrityHarness::config());
-    pcie::BarPageRouter bar(controller, 4096, controller.num_functions());
-    controller.attach_integrity(map->get());
-    drv::FunctionDriver pf(sim, memory, bar, irq, pcie::kPhysicalFunctionId,
-                           drv::FunctionDriverConfig{});
-    ASSERT_TRUE(pf.init().is_ok());
-
-    auto buffer = memory.alloc(1024, 64);
+    auto buffer = h.host_memory_.alloc(1024, 64);
     ASSERT_TRUE(buffer.is_ok());
     std::vector<CompletionStatus> completions;
-    ASSERT_TRUE(pf.submit(Opcode::kWrite, 5, 1, *buffer,
-                          [&](CompletionStatus s) {
-                              completions.push_back(s);
-                          })
+    ASSERT_TRUE(pf->submit(Opcode::kWrite, 5, 1, *buffer,
+                           [&](CompletionStatus s) {
+                               completions.push_back(s);
+                           })
                     .is_ok());
-    sim.run_until_idle();
+    h.sim_.run_until_idle();
     // The first attempt fails on the checksum write; the driver's
     // retry records it cleanly.
     EXPECT_EQ(sidecar.counters().get("write_media_errors"), 1u);
-    EXPECT_EQ(controller.stats(pcie::kPhysicalFunctionId).media_errors, 1u);
-    EXPECT_EQ(pf.retries(), 1u);
+    EXPECT_EQ(h.controller_.stats(pcie::kPhysicalFunctionId).media_errors,
+              1u);
+    EXPECT_EQ(pf->retries(), 1u);
     ASSERT_EQ(completions.size(), 1u);
     EXPECT_EQ(completions[0], CompletionStatus::kOk);
-    controller.attach_integrity(nullptr);
+    h.controller_.attach_integrity(nullptr);
 }
 
 TEST(ControllerIntegrity, PersistentDamageFailsWithChecksumError)
 {
-    IntegrityHarness h;
-    auto vf = h.create_identity_vf(256);
+    ControllerRig h(kRig);
+    auto vf = h.create_vf({{0, 256, 0}}, 256);
     auto drv = h.make_driver(vf);
     std::vector<std::byte> out(1024), in(1024);
     wl::fill_pattern(4, 0, out);
     ASSERT_TRUE(drv->write_sync(9, 1, out).is_ok());
-    h.damage_block(9);
+    damage_block(h, 9);
 
     // Single-device path: re-reads cannot heal bitrot, so the guest
     // sees a distinct checksum failure, never the corrupt payload.
@@ -495,13 +413,13 @@ TEST(ControllerIntegrity, PersistentDamageFailsWithChecksumError)
 
 TEST(ControllerIntegrity, DisabledIntegrityDeliversDataUnchecked)
 {
-    IntegrityHarness h;
-    auto vf = h.create_identity_vf(256);
+    ControllerRig h(kRig);
+    auto vf = h.create_vf({{0, 256, 0}}, 256);
     auto drv = h.make_driver(vf);
     std::vector<std::byte> out(1024), in(1024);
     wl::fill_pattern(6, 0, out);
     ASSERT_TRUE(drv->write_sync(3, 1, out).is_ok());
-    h.damage_block(3);
+    damage_block(h, 3);
     // Turn verification off through the PF register: the damaged
     // payload now flows through (the pre-integrity behaviour).
     ASSERT_TRUE(
@@ -513,8 +431,8 @@ TEST(ControllerIntegrity, DisabledIntegrityDeliversDataUnchecked)
 
 TEST(ControllerIntegrity, RegistersArePfOnlyAndMasterAbortUnattached)
 {
-    IntegrityHarness h;
-    auto vf = h.create_identity_vf(64);
+    ControllerRig h(kRig);
+    auto vf = h.create_vf({{0, 64, 0}}, 64);
     // VF access to the integrity block is a permission fault.
     EXPECT_FALSE(h.controller_.mmio_read(vf, reg::kIntegrityCtrl, 8)
                      .is_ok());
@@ -538,24 +456,17 @@ TEST(ControllerIntegrity, RegistersArePfOnlyAndMasterAbortUnattached)
 
 TEST(ControllerIntegrity, ScrubFindsColdDamageOnLocalMedia)
 {
-    IntegrityHarness h;
-    auto vf = h.create_identity_vf(256);
+    ControllerRig h(kRig);
+    auto vf = h.create_vf({{0, 256, 0}}, 256);
     auto drv = h.make_driver(vf);
     std::vector<std::byte> out(32 * 1024);
     wl::fill_pattern(8, 0, out);
     ASSERT_TRUE(drv->write_sync(0, 32, out).is_ok());
-    h.damage_block(20);
+    damage_block(h, 20);
     (void)vf;
 
     // No guest read touches block 20; only the scrubber can find it.
-    ASSERT_TRUE(h.controller_
-                    .mmio_write(0, reg::kMgmtCommand,
-                                static_cast<std::uint64_t>(
-                                    MgmtCommand::kScrubStart),
-                                8)
-                    .is_ok());
-    EXPECT_EQ(*h.controller_.mmio_read(0, reg::kMgmtStatus, 4),
-              static_cast<std::uint64_t>(MgmtStatus::kOk));
+    h.mgmt(MgmtCommand::kScrubStart);
     EXPECT_TRUE(h.controller_.scrub_running());
     h.sim_.run_until_idle();
     EXPECT_FALSE(h.controller_.scrub_running());
@@ -568,19 +479,9 @@ TEST(ControllerIntegrity, ScrubFindsColdDamageOnLocalMedia)
 
 TEST(ControllerIntegrity, ScrubAbortStopsThePass)
 {
-    IntegrityHarness h;
-    ASSERT_TRUE(h.controller_
-                    .mmio_write(0, reg::kMgmtCommand,
-                                static_cast<std::uint64_t>(
-                                    MgmtCommand::kScrubStart),
-                                8)
-                    .is_ok());
-    ASSERT_TRUE(h.controller_
-                    .mmio_write(0, reg::kMgmtCommand,
-                                static_cast<std::uint64_t>(
-                                    MgmtCommand::kScrubAbort),
-                                8)
-                    .is_ok());
+    ControllerRig h(kRig);
+    h.mgmt(MgmtCommand::kScrubStart);
+    h.mgmt(MgmtCommand::kScrubAbort);
     EXPECT_FALSE(h.controller_.scrub_running());
     h.sim_.run_until_idle();
     // The epoch guard kept any in-flight batch from resurrecting it.

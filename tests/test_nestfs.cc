@@ -959,9 +959,30 @@ TEST_F(NestFsTest, AllocateRangeOutOfSpaceMidRange)
     ASSERT_TRUE((*fs)->allocate_range(*ino, 2000, 4).is_ok());
     const std::uint64_t free_before = (*fs)->free_blocks();
     ASSERT_LT(free_before, 1996u);
+    const extent::ExtentList extents_before = *(*fs)->fiemap(*ino);
+    const Stat stat_before = *(*fs)->stat(*ino);
     EXPECT_EQ((*fs)->allocate_range(*ino, 0, 2004).code(),
               util::ErrorCode::kResourceExhausted);
-    EXPECT_EQ((*fs)->free_blocks(), 0u);
+
+    // The failed call gives back every run it got, in memory and on
+    // disk: no leaked blocks, no half-mapped range, size and mtime kept.
+    const auto check = [&](NestFs &volume) {
+        EXPECT_EQ(volume.free_blocks(), free_before);
+        EXPECT_EQ(*volume.fiemap(*ino), extents_before);
+        EXPECT_EQ(volume.stat(*ino)->size_bytes, stat_before.size_bytes);
+        EXPECT_EQ(volume.stat(*ino)->mtime_ns, stat_before.mtime_ns);
+        auto report = volume.fsck();
+        ASSERT_TRUE(report.is_ok());
+        EXPECT_TRUE(report->clean)
+            << (report->errors.empty() ? "" : report->errors.front());
+        EXPECT_EQ(report->leaked_blocks, 0u);
+    };
+    check(**fs);
+    ASSERT_TRUE((*fs)->unmount().is_ok());
+    fs->reset();
+    auto remounted = NestFs::mount(io);
+    ASSERT_TRUE(remounted.is_ok()) << remounted.status().to_string();
+    check(**remounted);
 }
 
 } // namespace

@@ -203,7 +203,7 @@ TEST(MetricsRegistry, ScopedCountersAreDistinct)
     metrics.add(fn1, 7);
     EXPECT_EQ(metrics.counter_value(fn1), 7u);
     EXPECT_EQ(metrics.counter_value(global), 0u);
-    // get() only sees global scope (CounterGroup compat).
+    // get() only sees global scope.
     EXPECT_EQ(metrics.get("faults"), 0u);
     metrics.add(global, 2);
     EXPECT_EQ(metrics.get("faults"), 2u);
@@ -216,6 +216,8 @@ TEST(MetricsRegistry, BumpAndGetCompat)
     metrics.bump("cold_path", 9);
     EXPECT_EQ(metrics.get("cold_path"), 10u);
     EXPECT_EQ(metrics.get("never_registered"), 0u);
+    // Reading a name does not register it.
+    EXPECT_EQ(metrics.to_string(), "cold_path=10");
 }
 
 TEST(MetricsRegistry, ToStringIsNameOrdered)

@@ -8,87 +8,21 @@
  */
 #include <gtest/gtest.h>
 
-#include "drivers/function_driver.h"
-#include "extent/tree_image.h"
-#include "nesc/controller.h"
-#include "pcie/mmio.h"
-#include "storage/mem_block_device.h"
+#include "controller_rig.h"
 #include "workloads/dd.h"
 
 namespace nesc::ctrl {
 namespace {
 
-class QueuePairTest : public ::testing::Test {
+class QueuePairTest : public ::testing::Test, public test::ControllerRig {
   protected:
-    QueuePairTest()
-        : host_memory_(32 << 20), device_(device_config()), irq_(sim_),
-          controller_(sim_, host_memory_, device_, irq_,
-                      controller_config()),
-          bar_(controller_, 4096, controller_.num_functions())
-    {
-    }
-
-    static storage::MemBlockDeviceConfig
-    device_config()
-    {
-        storage::MemBlockDeviceConfig cfg;
-        cfg.capacity_bytes = 16 << 20;
-        return cfg;
-    }
-
-    static ControllerConfig
-    controller_config()
-    {
-        ControllerConfig cfg;
-        cfg.max_vfs = 4;
-        return cfg;
-    }
-
-    pcie::FunctionId
-    create_vf(std::uint64_t plba_base, std::uint64_t size_blocks,
-              pcie::FunctionId fn = 1)
-    {
-        auto image = extent::ExtentTreeImage::build(
-            host_memory_, {{0, size_blocks, plba_base}});
-        EXPECT_TRUE(image.is_ok());
-        trees_.push_back(std::move(image).value());
-        mgmt(reg::kMgmtVfId, fn);
-        mgmt(reg::kMgmtExtentRoot, trees_.back().root());
-        mgmt(reg::kMgmtDeviceSize, size_blocks);
-        mgmt(reg::kMgmtCommand,
-             static_cast<std::uint64_t>(MgmtCommand::kCreateVf));
-        EXPECT_EQ(*controller_.mmio_read(0, reg::kMgmtStatus, 4),
-                  static_cast<std::uint64_t>(MgmtStatus::kOk));
-        return fn;
-    }
-
-    void
-    mgmt(std::uint64_t offset, std::uint64_t value)
-    {
-        ASSERT_TRUE(controller_.mmio_write(0, offset, value, 8).is_ok());
-    }
-
     void
     set_qp_quota(pcie::FunctionId fn, std::uint32_t quota,
                  MgmtStatus expect = MgmtStatus::kOk)
     {
-        mgmt(reg::kMgmtVfId, fn);
-        mgmt(reg::kMgmtQpQuota, quota);
-        mgmt(reg::kMgmtCommand,
-             static_cast<std::uint64_t>(MgmtCommand::kSetQpQuota));
-        ASSERT_EQ(*controller_.mmio_read(0, reg::kMgmtStatus, 4),
-                  static_cast<std::uint64_t>(expect));
-    }
-
-    std::unique_ptr<drv::FunctionDriver>
-    make_driver(pcie::FunctionId fn, std::uint32_t queue_pairs = 1)
-    {
-        drv::FunctionDriverConfig cfg;
-        cfg.queue_pairs = queue_pairs;
-        auto driver = std::make_unique<drv::FunctionDriver>(
-            sim_, host_memory_, bar_, irq_, fn, cfg);
-        EXPECT_TRUE(driver->init().is_ok());
-        return driver;
+        pf_write(reg::kMgmtVfId, fn);
+        pf_write(reg::kMgmtQpQuota, quota);
+        mgmt(MgmtCommand::kSetQpQuota, expect);
     }
 
     /** Runs the admin create/delete sequence for @p qid on @p fn. */
@@ -112,14 +46,6 @@ class QueuePairTest : public ::testing::Test {
         return static_cast<MgmtStatus>(
             *controller_.mmio_read(fn, reg::kQpStatus, 8));
     }
-
-    sim::Simulator sim_;
-    pcie::HostMemory host_memory_;
-    storage::MemBlockDevice device_;
-    pcie::InterruptController irq_;
-    Controller controller_;
-    pcie::BarPageRouter bar_;
-    std::vector<extent::ExtentTreeImage> trees_;
 };
 
 // --- Admin block -----------------------------------------------------------
@@ -127,7 +53,7 @@ class QueuePairTest : public ::testing::Test {
 TEST_F(QueuePairTest, EveryFunctionBootsWithPairZero)
 {
     EXPECT_EQ(controller_.queue_pair_count(0), 1u);
-    const auto fn = create_vf(1000, 64);
+    const auto fn = create_vf({{0, 64, 1000}}, 64);
     EXPECT_EQ(controller_.queue_pair_count(fn), 1u);
     EXPECT_EQ(*controller_.mmio_read(fn, reg::kQpCount, 8), 1u);
     EXPECT_EQ(*controller_.mmio_read(fn, reg::kQpQuota, 8), 1u);
@@ -135,7 +61,7 @@ TEST_F(QueuePairTest, EveryFunctionBootsWithPairZero)
 
 TEST_F(QueuePairTest, CreateBeyondQuotaBounces)
 {
-    const auto fn = create_vf(1000, 64);
+    const auto fn = create_vf({{0, 64, 1000}}, 64);
     auto mem = host_memory_.alloc(1 << 16, 64);
     ASSERT_TRUE(mem.is_ok());
     auto sq = pcie::HostRing::create(host_memory_, mem.value(), 16,
@@ -172,7 +98,7 @@ TEST_F(QueuePairTest, CreateBeyondQuotaBounces)
 
 TEST_F(QueuePairTest, QuotaValidationAndPfOnly)
 {
-    const auto fn = create_vf(1000, 64);
+    const auto fn = create_vf({{0, 64, 1000}}, 64);
     set_qp_quota(fn, 0, MgmtStatus::kError);
     set_qp_quota(fn, kMaxQueuePairs + 1, MgmtStatus::kError);
     set_qp_quota(fn, kMaxQueuePairs);
@@ -184,7 +110,7 @@ TEST_F(QueuePairTest, QuotaValidationAndPfOnly)
 
 TEST_F(QueuePairTest, DeadDoorbellIsSwallowedAndCounted)
 {
-    const auto fn = create_vf(1000, 64);
+    const auto fn = create_vf({{0, 64, 1000}}, 64);
     // Posted writes to doorbells of absent pairs are dropped, counted,
     // and never fault the function.
     EXPECT_TRUE(controller_
@@ -202,9 +128,9 @@ TEST_F(QueuePairTest, DeadDoorbellIsSwallowedAndCounted)
 
 TEST_F(QueuePairTest, MultiQueueRoundTripStripesAcrossPairs)
 {
-    const auto fn = create_vf(1000, 256);
+    const auto fn = create_vf({{0, 256, 1000}}, 256);
     set_qp_quota(fn, 4);
-    auto driver = make_driver(fn, 4);
+    auto driver = make_driver(fn, {.queue_pairs = 4});
     EXPECT_EQ(controller_.queue_pair_count(fn), 4u);
 
     std::vector<std::byte> out(16 * kDeviceBlockSize);
@@ -229,8 +155,8 @@ TEST_F(QueuePairTest, MultiQueueRoundTripStripesAcrossPairs)
 
 TEST_F(QueuePairTest, SingleQueueDriverUnchanged)
 {
-    const auto fn = create_vf(1000, 256);
-    auto driver = make_driver(fn, 1);
+    const auto fn = create_vf({{0, 256, 1000}}, 256);
+    auto driver = make_driver(fn);
     std::vector<std::byte> out(8 * kDeviceBlockSize);
     std::vector<std::byte> in(8 * kDeviceBlockSize);
     wl::fill_pattern(3, 0, out);
@@ -247,9 +173,9 @@ TEST_F(QueuePairTest, SingleQueueDriverUnchanged)
 
 TEST_F(QueuePairTest, DeleteQueueAbortsItsInflightCommands)
 {
-    const auto fn = create_vf(1000, 256);
+    const auto fn = create_vf({{0, 256, 1000}}, 256);
     set_qp_quota(fn, 2);
-    auto driver = make_driver(fn, 2);
+    auto driver = make_driver(fn, {.queue_pairs = 2});
 
     // Queue async work striped across both pairs, then delete pair 1
     // before the device drains it.
@@ -278,9 +204,9 @@ TEST_F(QueuePairTest, DeleteQueueAbortsItsInflightCommands)
 
 TEST_F(QueuePairTest, FnResetTearsDownExtraPairs)
 {
-    const auto fn = create_vf(1000, 256);
+    const auto fn = create_vf({{0, 256, 1000}}, 256);
     set_qp_quota(fn, 4);
-    auto driver = make_driver(fn, 4);
+    auto driver = make_driver(fn, {.queue_pairs = 4});
     EXPECT_EQ(controller_.queue_pair_count(fn), 4u);
     ASSERT_TRUE(
         controller_.mmio_write(fn, reg::kFnReset, 1, 8).is_ok());
@@ -296,15 +222,12 @@ TEST_F(QueuePairTest, FnResetTearsDownExtraPairs)
 
 TEST_F(QueuePairTest, DeleteVfWithLiveQueues)
 {
-    const auto fn = create_vf(1000, 256);
+    const auto fn = create_vf({{0, 256, 1000}}, 256);
     set_qp_quota(fn, 4);
-    auto driver = make_driver(fn, 4);
+    auto driver = make_driver(fn, {.queue_pairs = 4});
     EXPECT_EQ(controller_.queue_pair_count(fn), 4u);
-    mgmt(reg::kMgmtVfId, fn);
-    mgmt(reg::kMgmtCommand,
-         static_cast<std::uint64_t>(MgmtCommand::kDeleteVf));
-    ASSERT_EQ(*controller_.mmio_read(0, reg::kMgmtStatus, 4),
-              static_cast<std::uint64_t>(MgmtStatus::kOk));
+    pf_write(reg::kMgmtVfId, fn);
+    mgmt(MgmtCommand::kDeleteVf);
     EXPECT_FALSE(controller_.is_active(fn));
     EXPECT_EQ(controller_.queue_pair_count(fn), 0u);
     // Doorbells on a dead function are rejected outright (not merely
@@ -315,9 +238,9 @@ TEST_F(QueuePairTest, DeleteVfWithLiveQueues)
 
 TEST_F(QueuePairTest, QuarantineDrainsAllPairs)
 {
-    const auto fn = create_vf(1000, 256);
+    const auto fn = create_vf({{0, 256, 1000}}, 256);
     set_qp_quota(fn, 2);
-    auto driver = make_driver(fn, 2);
+    auto driver = make_driver(fn, {.queue_pairs = 2});
 
     // Trash pair 0's SQ header, then storm the doorbell past the
     // quarantine threshold. The quarantine must drain *both* pairs'
@@ -352,8 +275,8 @@ TEST_F(QueuePairTest, QuarantineDrainsAllPairs)
 
 TEST_F(QueuePairTest, LegacyRegistersAliasPairZero)
 {
-    const auto fn = create_vf(1000, 64);
-    auto driver = make_driver(fn, 1);
+    const auto fn = create_vf({{0, 64, 1000}}, 64);
+    auto driver = make_driver(fn);
     const std::uint64_t legacy_sq =
         *controller_.mmio_read(fn, reg::kCmdRingBase, 8);
     ASSERT_TRUE(
@@ -366,7 +289,7 @@ TEST_F(QueuePairTest, LegacyRegistersAliasPairZero)
 
 TEST_F(QueuePairTest, QpReadsOfAbsentPairMasterAbort)
 {
-    const auto fn = create_vf(1000, 64);
+    const auto fn = create_vf({{0, 64, 1000}}, 64);
     ASSERT_TRUE(
         controller_.mmio_write(fn, reg::kQpSelect, 5, 8).is_ok());
     EXPECT_EQ(*controller_.mmio_read(fn, reg::kQpSqBase, 8),

@@ -30,11 +30,8 @@
 #include <string>
 #include <vector>
 
-#include "nesc/controller.h"
+#include "controller_rig.h"
 #include "repl/replica_set.h"
-#include "sim/simulator.h"
-#include "storage/integrity_map.h"
-#include "storage/mem_block_device.h"
 
 namespace nesc::ctrl {
 namespace {
@@ -90,70 +87,41 @@ media(std::uint64_t capacity_bytes)
 }
 
 /** One controller in a given setup, with VF 1 live. */
-struct Rig {
+struct Rig : test::ControllerRig {
     explicit Rig(Setup setup)
-        : memory(64 << 10),
-          device(media((kDataBlocks + storage::IntegrityMap::sidecar_blocks(
-                                          kDataBlocks, 1024)) *
-                       1024)),
-          irq(sim), controller(sim, memory, device, irq, config())
+        : ControllerRig(
+              {.host_memory_bytes = 64 << 10,
+               .media_bytes = test::sidecar_media_bytes(kDataBlocks),
+               .config = {.max_vfs = kMaxVfs},
+               .sidecar_data_blocks =
+                   setup == Setup::kAttached ? kDataBlocks : 0})
     {
         if (setup == Setup::kAttached) {
             replicas = std::make_unique<repl::ReplicaSet>(
-                sim, repl::ReplicaSetConfig{});
+                sim_, repl::ReplicaSetConfig{});
             for (int i = 0; i < 2; ++i) {
                 replica_media.push_back(
                     std::make_unique<storage::MemBlockDevice>(
-                        media(device.geometry().capacity_bytes +
+                        media(device_.geometry().capacity_bytes +
                               64 * 1024)));
                 replicas->add_backend(*replica_media.back(),
                                       repl::BackendConfig{});
             }
-            controller.attach_replicas(replicas.get());
-            auto map = storage::IntegrityMap::format(device, kDataBlocks);
-            EXPECT_TRUE(map.is_ok()) << map.status().to_string();
-            integrity = std::move(map).value();
-            controller.attach_integrity(integrity.get());
+            controller_.attach_replicas(replicas.get());
         }
         pf_write(reg::kMgmtVfId, 1);
         pf_write(reg::kMgmtDeviceSize, 64);
         pf_write(reg::kMgmtCommand,
                  static_cast<std::uint64_t>(MgmtCommand::kCreateVf));
-        EXPECT_TRUE(controller.is_active(1));
+        EXPECT_TRUE(controller_.is_active(1));
         if (setup == Setup::kObsArmed)
             pf_write(reg::kObsWindowNs, 10'000);
     }
 
-    ~Rig()
-    {
-        controller.attach_integrity(nullptr);
-        controller.attach_replicas(nullptr);
-    }
+    ~Rig() { controller_.attach_replicas(nullptr); }
 
-    static ControllerConfig
-    config()
-    {
-        ControllerConfig cfg;
-        cfg.max_vfs = kMaxVfs;
-        return cfg;
-    }
-
-    void
-    pf_write(std::uint64_t offset, std::uint64_t value)
-    {
-        EXPECT_TRUE(controller.mmio_write(pcie::kPhysicalFunctionId, offset,
-                                          value, 8)
-                        .is_ok());
-    }
-
-    sim::Simulator sim;
-    pcie::HostMemory memory;
-    storage::MemBlockDevice device;
-    pcie::InterruptController irq;
-    Controller controller;
     std::vector<std::unique_ptr<storage::MemBlockDevice>> replica_media;
     std::unique_ptr<repl::ReplicaSet> replicas;
-    std::unique_ptr<storage::IntegrityMap> integrity;
 };
 
 std::uint64_t
@@ -177,16 +145,16 @@ probe_line(Setup setup, const Probe &probe, std::uint64_t offset,
         std::snprintf(read, sizeof read, "%s",
                       util::error_code_name(value.status().code()));
     Rig rig(setup);
-    const std::uint64_t before = reg_violations(rig.controller, probe.fn);
+    const std::uint64_t before = reg_violations(rig.controller_, probe.fn);
     const util::Status written =
-        rig.controller.mmio_write(probe.fn, offset, 1, 8);
+        rig.controller_.mmio_write(probe.fn, offset, 1, 8);
     char line[160];
     std::snprintf(line, sizeof line,
                   "%s %s 0x%03" PRIx64 " R %s W %s violations+%" PRIu64
                   "\n",
                   setup_name(setup), probe.label, offset, read,
                   util::error_code_name(written.code()),
-                  reg_violations(rig.controller, probe.fn) - before);
+                  reg_violations(rig.controller_, probe.fn) - before);
     return line;
 }
 
@@ -198,7 +166,7 @@ sweep()
         Rig reader(setup);
         for (const Probe &probe : kProbes)
             for (std::uint64_t offset : sweep_offsets())
-                out += probe_line(setup, probe, offset, reader.controller);
+                out += probe_line(setup, probe, offset, reader.controller_);
     }
     return out;
 }

@@ -20,15 +20,11 @@
 #include <tuple>
 #include <vector>
 
-#include "drivers/function_driver.h"
-#include "extent/tree_image.h"
-#include "nesc/controller.h"
+#include "controller_rig.h"
 #include "obs/trace.h"
-#include "pcie/mmio.h"
 #include "sim/arena.h"
 #include "sim/bandwidth_server.h"
 #include "sim/simulator.h"
-#include "storage/mem_block_device.h"
 
 namespace nesc::sim {
 namespace {
@@ -519,45 +515,17 @@ same_spans(const std::vector<obs::SpanEvent> &a,
 RunResult
 run_workload(std::uint64_t seed)
 {
-    pcie::HostMemory host_memory(64 << 20);
-    storage::MemBlockDeviceConfig dev_cfg;
-    dev_cfg.capacity_bytes = 16 << 20;
-    storage::MemBlockDevice device(dev_cfg);
-    Simulator sim;
-    pcie::InterruptController irq(sim);
-    ctrl::ControllerConfig cfg;
-    cfg.max_vfs = 4;
-    ctrl::Controller controller(sim, host_memory, device, irq, cfg);
-    pcie::BarPageRouter bar(controller, 4096,
-                            controller.num_functions());
-    controller.enable_tracing(1 << 16);
+    test::ControllerRig h({.host_memory_bytes = 64 << 20});
+    h.controller_.enable_tracing(1 << 16);
 
     constexpr std::uint64_t kSizeBlocks = 256;
-    std::vector<extent::ExtentTreeImage> trees;
-    auto pf_write = [&](std::uint64_t offset, std::uint64_t value) {
-        ASSERT_TRUE(
-            controller.mmio_write(0, offset, value, 8).is_ok());
-    };
     std::vector<std::unique_ptr<drv::FunctionDriver>> drivers;
     for (pcie::FunctionId fn = 1; fn <= 4; ++fn) {
         // First half mapped, second half holes (reads zero-fill,
         // writes fault — the driver surfaces those as failures).
-        extent::ExtentList extents{
-            {0, kSizeBlocks / 2, 3000ULL + fn * 400}};
-        auto image =
-            extent::ExtentTreeImage::build(host_memory, extents);
-        EXPECT_TRUE(image.is_ok());
-        trees.push_back(std::move(image).value());
-        pf_write(ctrl::reg::kMgmtVfId, fn);
-        pf_write(ctrl::reg::kMgmtExtentRoot, trees.back().root());
-        pf_write(ctrl::reg::kMgmtDeviceSize, kSizeBlocks);
-        pf_write(ctrl::reg::kMgmtCommand,
-                 static_cast<std::uint64_t>(
-                     ctrl::MgmtCommand::kCreateVf));
-        auto driver = std::make_unique<drv::FunctionDriver>(
-            sim, host_memory, bar, irq, fn);
-        EXPECT_TRUE(driver->init().is_ok());
-        drivers.push_back(std::move(driver));
+        h.create_vf({{0, kSizeBlocks / 2, 3000ULL + fn * 400}}, kSizeBlocks,
+                    fn);
+        drivers.push_back(h.make_driver(fn));
     }
 
     RunResult result;
@@ -568,7 +536,7 @@ run_workload(std::uint64_t seed)
     std::vector<std::uint64_t> issued(4, 0);
     std::vector<pcie::HostAddr> buffers;
     for (int i = 0; i < 4; ++i)
-        buffers.push_back(*host_memory.alloc(16 * 1024, 4096));
+        buffers.push_back(*h.host_memory_.alloc(16 * 1024, 4096));
 
     std::function<void(std::size_t)> submit_one =
         [&](std::size_t vf_idx) {
@@ -587,10 +555,10 @@ run_workload(std::uint64_t seed)
             const auto status = drivers[vf_idx]->submit(
                 read ? ctrl::Opcode::kRead : ctrl::Opcode::kWrite,
                 vlba, nblocks, buffers[vf_idx],
-                [&result, &sim, &submit_one, vf_idx,
+                [&result, &h, &submit_one, vf_idx,
                  request](ctrl::CompletionStatus s) {
                     result.timeline.push_back(
-                        {sim.now(),
+                        {h.sim_.now(),
                          static_cast<pcie::FunctionId>(vf_idx + 1),
                          request, s});
                     submit_one(vf_idx);
@@ -600,10 +568,10 @@ run_workload(std::uint64_t seed)
     for (std::size_t vf = 0; vf < 4; ++vf)
         for (int d = 0; d < kDepth; ++d)
             submit_one(vf);
-    sim.run_until_idle();
+    h.sim_.run_until_idle();
 
     EXPECT_EQ(result.timeline.size(), 4 * kRequestsPerVf);
-    result.spans = controller.tracer().events();
+    result.spans = h.controller_.tracer().events();
     EXPECT_FALSE(result.spans.empty());
     return result;
 }

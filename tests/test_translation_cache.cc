@@ -9,12 +9,8 @@
  */
 #include <gtest/gtest.h>
 
-#include "drivers/function_driver.h"
-#include "extent/tree_image.h"
+#include "controller_rig.h"
 #include "extent/walker.h"
-#include "nesc/controller.h"
-#include "pcie/mmio.h"
-#include "storage/mem_block_device.h"
 #include "workloads/dd.h"
 
 namespace nesc::ctrl {
@@ -122,16 +118,10 @@ TEST(ExtentNodeCache, RebudgetEvictsDown)
 /** Bare-metal harness with per-test controller configuration. */
 class TranslationCacheTest : public ::testing::Test {
   protected:
-    void
+    test::ControllerRig &
     init(const ControllerConfig &cfg)
     {
-        storage::MemBlockDeviceConfig dev_cfg;
-        dev_cfg.capacity_bytes = 16 << 20;
-        host_memory_.emplace(32 << 20);
-        device_.emplace(dev_cfg);
-        irq_.emplace(sim_);
-        controller_.emplace(sim_, *host_memory_, *device_, *irq_, cfg);
-        bar_.emplace(*controller_, 4096, controller_->num_functions());
+        return rig_.emplace(test::RigOptions{.config = cfg});
     }
 
     /** Fast-path config: node cache + coalescing on, BTLB off. */
@@ -147,71 +137,10 @@ class TranslationCacheTest : public ::testing::Test {
         return cfg;
     }
 
-    pcie::FunctionId
-    create_vf(const extent::ExtentList &extents, std::uint64_t size_blocks,
-              pcie::FunctionId fn, const extent::TreeConfig &tree_cfg)
-    {
-        auto image =
-            extent::ExtentTreeImage::build(*host_memory_, extents, tree_cfg);
-        EXPECT_TRUE(image.is_ok());
-        trees_.push_back(std::move(image).value());
-        return create_vf_at_root(trees_.back().root(), size_blocks, fn);
-    }
-
-    pcie::FunctionId
-    create_vf_at_root(pcie::HostAddr root, std::uint64_t size_blocks,
-                      pcie::FunctionId fn)
-    {
-        EXPECT_TRUE(
-            controller_->mmio_write(0, reg::kMgmtVfId, fn, 8).is_ok());
-        EXPECT_TRUE(
-            controller_->mmio_write(0, reg::kMgmtExtentRoot, root, 8)
-                .is_ok());
-        EXPECT_TRUE(controller_
-                        ->mmio_write(0, reg::kMgmtDeviceSize, size_blocks, 8)
-                        .is_ok());
-        EXPECT_TRUE(mgmt(MgmtCommand::kCreateVf));
-        return fn;
-    }
-
-    /** Issues a mgmt command; true on kOk status. */
-    bool
-    mgmt(MgmtCommand command)
-    {
-        EXPECT_TRUE(controller_
-                        ->mmio_write(0, reg::kMgmtCommand,
-                                     static_cast<std::uint64_t>(command), 8)
-                        .is_ok());
-        return *controller_->mmio_read(0, reg::kMgmtStatus, 4) ==
-               static_cast<std::uint64_t>(MgmtStatus::kOk);
-    }
-
-    /** Repoints @p fn's tree at @p root through PF mgmt. */
-    void
-    set_extent_root(pcie::FunctionId fn, pcie::HostAddr root)
-    {
-        ASSERT_TRUE(
-            controller_->mmio_write(0, reg::kMgmtVfId, fn, 8).is_ok());
-        ASSERT_TRUE(
-            controller_->mmio_write(0, reg::kMgmtExtentRoot, root, 8)
-                .is_ok());
-        ASSERT_TRUE(mgmt(MgmtCommand::kSetExtentRoot));
-    }
-
-    std::unique_ptr<drv::FunctionDriver>
-    make_driver(pcie::FunctionId fn)
-    {
-        auto driver = std::make_unique<drv::FunctionDriver>(
-            sim_, *host_memory_, *bar_, *irq_, fn,
-            drv::FunctionDriverConfig{});
-        EXPECT_TRUE(driver->init().is_ok());
-        return driver;
-    }
-
     std::uint64_t
     counter(const char *name)
     {
-        return controller_->counters().get(name);
+        return rig_->controller_.counters().get(name);
     }
 
     /** A 64-extent mapping that needs a multi-level tree at fanout 4. */
@@ -226,21 +155,15 @@ class TranslationCacheTest : public ::testing::Test {
         return extents;
     }
 
-    sim::Simulator sim_;
-    std::optional<pcie::HostMemory> host_memory_;
-    std::optional<storage::MemBlockDevice> device_;
-    std::optional<pcie::InterruptController> irq_;
-    std::optional<Controller> controller_;
-    std::optional<pcie::BarPageRouter> bar_;
-    std::vector<extent::ExtentTreeImage> trees_;
+    std::optional<test::ControllerRig> rig_;
 };
 
 TEST_F(TranslationCacheTest, NodeCacheEliminatesRepeatWalkDma)
 {
-    init(fastpath_config());
+    auto &h = init(fastpath_config());
     const auto fn =
-        create_vf(striped_extents(), 256, 1, extent::TreeConfig{4});
-    auto driver = make_driver(fn);
+        h.create_vf(striped_extents(), 256, 1, extent::TreeConfig{4});
+    auto driver = h.make_driver(fn);
     std::vector<std::byte> buf(1024);
 
     ASSERT_TRUE(driver->read_sync(0, 1, buf).is_ok());
@@ -261,10 +184,10 @@ TEST_F(TranslationCacheTest, NodeCacheEliminatesRepeatWalkDma)
 
 TEST_F(TranslationCacheTest, CachedTranslationStillCorrect)
 {
-    init(fastpath_config());
+    auto &h = init(fastpath_config());
     const auto fn =
-        create_vf(striped_extents(), 256, 1, extent::TreeConfig{4});
-    auto driver = make_driver(fn);
+        h.create_vf(striped_extents(), 256, 1, extent::TreeConfig{4});
+    auto driver = h.make_driver(fn);
 
     // Write through the cold path, read back through the warm path —
     // and verify physical placement against the reference walker.
@@ -274,76 +197,76 @@ TEST_F(TranslationCacheTest, CachedTranslationStillCorrect)
     ASSERT_TRUE(driver->read_sync(40, 1, in).is_ok());
     EXPECT_EQ(out, in);
 
-    auto ref = extent::lookup(*host_memory_, trees_.back().root(), 40);
+    auto ref = extent::lookup(h.host_memory_, h.trees_.back().root(), 40);
     ASSERT_TRUE(ref.is_ok());
     ASSERT_EQ(ref->outcome, extent::LookupOutcome::kMapped);
     std::vector<std::byte> media(1024);
     ASSERT_TRUE(
-        device_->read(ref->extent.translate(40) * 1024, media).is_ok());
+        h.device_.read(ref->extent.translate(40) * 1024, media).is_ok());
     EXPECT_EQ(media, out);
 }
 
 TEST_F(TranslationCacheTest, SetExtentRootDropsCachedNodes)
 {
-    init(fastpath_config());
+    auto &h = init(fastpath_config());
     const auto fn =
-        create_vf(striped_extents(64, 4, 1024), 256, 1,
+        h.create_vf(striped_extents(64, 4, 1024), 256, 1,
                   extent::TreeConfig{4});
-    auto driver = make_driver(fn);
+    auto driver = h.make_driver(fn);
 
     // Warm the node cache, then place distinct data at the two
     // physical locations vLBA 0 maps to under the old and new trees.
     std::vector<std::byte> buf(1024);
     ASSERT_TRUE(driver->read_sync(0, 1, buf).is_ok());
-    ASSERT_GT(controller_->node_cache().size(), 0u);
+    ASSERT_GT(h.controller_.node_cache().size(), 0u);
 
     std::vector<std::byte> old_data(1024, std::byte{0xaa});
     std::vector<std::byte> new_data(1024, std::byte{0xbb});
-    auto old_ref = extent::lookup(*host_memory_, trees_.back().root(), 0);
+    auto old_ref = extent::lookup(h.host_memory_, h.trees_.back().root(), 0);
     ASSERT_TRUE(old_ref.is_ok());
-    ASSERT_TRUE(device_->write(old_ref->extent.translate(0) * 1024,
+    ASSERT_TRUE(h.device_.write(old_ref->extent.translate(0) * 1024,
                                old_data)
                     .is_ok());
 
     auto new_image = extent::ExtentTreeImage::build(
-        *host_memory_, striped_extents(64, 4, 8192),
+        h.host_memory_, striped_extents(64, 4, 8192),
         extent::TreeConfig{4});
     ASSERT_TRUE(new_image.is_ok());
-    auto new_ref = extent::lookup(*host_memory_, new_image->root(), 0);
+    auto new_ref = extent::lookup(h.host_memory_, new_image->root(), 0);
     ASSERT_TRUE(new_ref.is_ok());
     ASSERT_NE(new_ref->extent.translate(0), old_ref->extent.translate(0));
-    ASSERT_TRUE(device_->write(new_ref->extent.translate(0) * 1024,
+    ASSERT_TRUE(h.device_.write(new_ref->extent.translate(0) * 1024,
                                new_data)
                     .is_ok());
 
-    set_extent_root(fn, new_image->root());
-    EXPECT_GT(controller_->node_cache().function_invalidations(), 0u);
+    h.set_extent_root(fn, new_image->root());
+    EXPECT_GT(h.controller_.node_cache().function_invalidations(), 0u);
 
     // The read must translate through the NEW tree: stale node images
     // would return 0xaa from the old physical location.
     ASSERT_TRUE(driver->read_sync(0, 1, buf).is_ok());
     EXPECT_EQ(buf, new_data);
-    trees_.push_back(std::move(new_image).value());
+    h.trees_.push_back(std::move(new_image).value());
 }
 
 TEST_F(TranslationCacheTest, RewalkAfterFaultUsesFreshTree)
 {
-    init(fastpath_config());
+    auto &h = init(fastpath_config());
     // Sparse mapping: vLBA 32.. is a hole, so a write faults.
-    const auto fn = create_vf({{0, 32, 1024}}, 256, 1,
+    const auto fn = h.create_vf({{0, 32, 1024}}, 256, 1,
                               extent::TreeConfig{4});
-    auto driver = make_driver(fn);
+    auto driver = h.make_driver(fn);
 
     std::vector<std::byte> warm(1024);
     ASSERT_TRUE(driver->read_sync(0, 1, warm).is_ok());
-    ASSERT_GT(controller_->node_cache().size(), 0u);
+    ASSERT_GT(h.controller_.node_cache().size(), 0u);
 
     bool completed = false;
     CompletionStatus status = CompletionStatus::kInternalError;
-    auto buffer = host_memory_->alloc(1024, 64);
+    auto buffer = h.host_memory_.alloc(1024, 64);
     ASSERT_TRUE(buffer.is_ok());
     std::vector<std::byte> payload(1024, std::byte{0x5c});
-    ASSERT_TRUE(host_memory_->write(*buffer, payload).is_ok());
+    ASSERT_TRUE(h.host_memory_.write(*buffer, payload).is_ok());
     ASSERT_TRUE(driver
                     ->submit(Opcode::kWrite, 32, 1, *buffer,
                              [&](CompletionStatus s) {
@@ -351,60 +274,60 @@ TEST_F(TranslationCacheTest, RewalkAfterFaultUsesFreshTree)
                                  status = s;
                              })
                     .is_ok());
-    sim_.run_until_idle();
+    h.sim_.run_until_idle();
     ASSERT_FALSE(completed);
-    ASSERT_EQ(controller_->fault_kind(fn), FaultKind::kWriteMiss);
+    ASSERT_EQ(h.controller_.fault_kind(fn), FaultKind::kWriteMiss);
 
     // Hypervisor allocates: new tree covering the missed block, then
     // SetExtentRoot + RewalkTree (the paper's Fig. 5 service path).
     auto grown = extent::ExtentTreeImage::build(
-        *host_memory_, {{0, 32, 1024}, {32, 8, 4096}},
+        h.host_memory_, {{0, 32, 1024}, {32, 8, 4096}},
         extent::TreeConfig{4});
     ASSERT_TRUE(grown.is_ok());
-    set_extent_root(fn, grown->root());
+    h.set_extent_root(fn, grown->root());
     const std::uint64_t invalidations =
-        controller_->node_cache().function_invalidations();
-    ASSERT_TRUE(controller_->mmio_write(fn, reg::kRewalkTree, 1, 4).is_ok());
-    sim_.run_until_idle();
+        h.controller_.node_cache().function_invalidations();
+    ASSERT_TRUE(h.controller_.mmio_write(fn, reg::kRewalkTree, 1, 4).is_ok());
+    h.sim_.run_until_idle();
 
     EXPECT_TRUE(completed);
     EXPECT_EQ(status, CompletionStatus::kOk);
     // The rewalk itself also invalidates (belt and braces on top of
     // SetExtentRoot): cached pre-fault nodes cannot serve the retry.
-    EXPECT_GT(controller_->node_cache().function_invalidations(),
+    EXPECT_GT(h.controller_.node_cache().function_invalidations(),
               invalidations);
     std::vector<std::byte> media(1024);
-    ASSERT_TRUE(device_->read(4096 * 1024, media).is_ok());
+    ASSERT_TRUE(h.device_.read(4096 * 1024, media).is_ok());
     EXPECT_EQ(media, payload);
-    trees_.push_back(std::move(grown).value());
+    h.trees_.push_back(std::move(grown).value());
 }
 
 TEST_F(TranslationCacheTest, DeleteVfDropsCachedNodes)
 {
-    init(fastpath_config());
+    auto &h = init(fastpath_config());
     const auto fn =
-        create_vf(striped_extents(), 256, 1, extent::TreeConfig{4});
-    auto driver = make_driver(fn);
+        h.create_vf(striped_extents(), 256, 1, extent::TreeConfig{4});
+    auto driver = h.make_driver(fn);
     std::vector<std::byte> buf(1024);
     ASSERT_TRUE(driver->read_sync(0, 1, buf).is_ok());
-    ASSERT_GT(controller_->node_cache().size(), 0u);
+    ASSERT_GT(h.controller_.node_cache().size(), 0u);
 
-    ASSERT_TRUE(controller_->mmio_write(0, reg::kMgmtVfId, fn, 8).is_ok());
-    ASSERT_TRUE(mgmt(MgmtCommand::kDeleteVf));
-    EXPECT_EQ(controller_->node_cache().size(), 0u);
+    h.pf_write(reg::kMgmtVfId, fn);
+    h.mgmt(MgmtCommand::kDeleteVf);
+    EXPECT_EQ(h.controller_.node_cache().size(), 0u);
 }
 
 TEST_F(TranslationCacheTest, NoCrossVfNodeCacheHits)
 {
-    init(fastpath_config());
+    auto &h = init(fastpath_config());
     // Both VFs point at the SAME tree (shared subtree scenario): VF 2
     // must still take cold misses — a hit on VF 1's cached nodes would
     // be a cross-VF translation channel.
     const auto fn1 =
-        create_vf(striped_extents(), 256, 1, extent::TreeConfig{4});
-    const auto fn2 = create_vf_at_root(trees_.back().root(), 256, 2);
-    auto d1 = make_driver(fn1);
-    auto d2 = make_driver(fn2);
+        h.create_vf(striped_extents(), 256, 1, extent::TreeConfig{4});
+    const auto fn2 = h.create_vf_at_root(h.trees_.back().root(), 256, 2);
+    auto d1 = h.make_driver(fn1);
+    auto d2 = h.make_driver(fn2);
 
     std::vector<std::byte> buf(1024);
     ASSERT_TRUE(d1->read_sync(0, 1, buf).is_ok());
@@ -426,17 +349,16 @@ TEST_F(TranslationCacheTest, CoalescingAttachesConcurrentMisses)
         ControllerConfig cfg = fastpath_config();
         cfg.node_cache_bytes = 0; // isolate the coalescing effect
         cfg.walk_coalescing = enabled != 0;
-        init(cfg);
-        trees_.clear();
+        auto &h = init(cfg);
         const auto fn =
-            create_vf(striped_extents(), 256, 1, extent::TreeConfig{4});
-        auto driver = make_driver(fn);
+            h.create_vf(striped_extents(), 256, 1, extent::TreeConfig{4});
+        auto driver = h.make_driver(fn);
 
         constexpr int kBurst = 8;
         int done = 0;
         std::vector<pcie::HostAddr> buffers;
         for (int i = 0; i < kBurst; ++i) {
-            auto buffer = host_memory_->alloc(1024, 64);
+            auto buffer = h.host_memory_.alloc(1024, 64);
             ASSERT_TRUE(buffer.is_ok());
             buffers.push_back(*buffer);
             ASSERT_TRUE(driver
@@ -448,7 +370,7 @@ TEST_F(TranslationCacheTest, CoalescingAttachesConcurrentMisses)
                                      })
                             .is_ok());
         }
-        sim_.run_until_idle();
+        h.sim_.run_until_idle();
         ASSERT_EQ(done, kBurst);
         node_reads[enabled] = counter("walk_node_reads");
         if (enabled)
@@ -463,22 +385,22 @@ TEST_F(TranslationCacheTest, UncoveredSecondaryReplaysCorrectly)
 {
     ControllerConfig cfg = fastpath_config();
     cfg.node_cache_bytes = 0;
-    init(cfg);
+    auto &h = init(cfg);
     // Two extents far apart in vLBA but inside the (huge) window: the
     // second miss attaches to the first walk, is not covered by its
     // extent, and must replay — with the right data at the end.
-    const auto fn = create_vf({{0, 4, 1024}, {2048, 4, 4096}}, 4096, 1,
+    const auto fn = h.create_vf({{0, 4, 1024}, {2048, 4, 4096}}, 4096, 1,
                               extent::TreeConfig{4});
-    auto driver = make_driver(fn);
+    auto driver = h.make_driver(fn);
 
     std::vector<std::byte> a(1024, std::byte{0x11});
     std::vector<std::byte> b(1024, std::byte{0x22});
-    ASSERT_TRUE(device_->write(1024 * 1024, a).is_ok());
-    ASSERT_TRUE(device_->write(4096 * 1024, b).is_ok());
+    ASSERT_TRUE(h.device_.write(1024 * 1024, a).is_ok());
+    ASSERT_TRUE(h.device_.write(4096 * 1024, b).is_ok());
 
     int done = 0;
-    auto buf_a = host_memory_->alloc(1024, 64);
-    auto buf_b = host_memory_->alloc(1024, 64);
+    auto buf_a = h.host_memory_.alloc(1024, 64);
+    auto buf_b = h.host_memory_.alloc(1024, 64);
     ASSERT_TRUE(buf_a.is_ok());
     ASSERT_TRUE(buf_b.is_ok());
     for (auto [vlba, buffer] :
@@ -491,30 +413,30 @@ TEST_F(TranslationCacheTest, UncoveredSecondaryReplaysCorrectly)
                                  })
                         .is_ok());
     }
-    sim_.run_until_idle();
+    h.sim_.run_until_idle();
     ASSERT_EQ(done, 2);
     EXPECT_GE(counter("walk_coalesced"), 1u);
     EXPECT_GE(counter("walk_replays"), 1u);
 
     std::vector<std::byte> got(1024);
-    ASSERT_TRUE(host_memory_->read(*buf_a, got).is_ok());
+    ASSERT_TRUE(h.host_memory_.read(*buf_a, got).is_ok());
     EXPECT_EQ(got, a);
-    ASSERT_TRUE(host_memory_->read(*buf_b, got).is_ok());
+    ASSERT_TRUE(h.host_memory_.read(*buf_b, got).is_ok());
     EXPECT_EQ(got, b);
 }
 
 TEST_F(TranslationCacheTest, CoalescedWritesParkBehindFault)
 {
-    init(fastpath_config());
+    auto &h = init(fastpath_config());
     // Writes into a hole: the primary faults; its coalesced secondary
     // must end up parked behind the same fault, and FailMiss must then
     // complete both with the write-failure status.
-    const auto fn = create_vf({{0, 4, 1024}}, 256, 1,
+    const auto fn = h.create_vf({{0, 4, 1024}}, 256, 1,
                               extent::TreeConfig{4});
-    auto driver = make_driver(fn);
+    auto driver = h.make_driver(fn);
 
     int failed = 0;
-    auto buffer = host_memory_->alloc(1024, 64);
+    auto buffer = h.host_memory_.alloc(1024, 64);
     ASSERT_TRUE(buffer.is_ok());
     for (std::uint64_t vlba : {100ULL, 101ULL}) {
         ASSERT_TRUE(driver
@@ -527,13 +449,13 @@ TEST_F(TranslationCacheTest, CoalescedWritesParkBehindFault)
                                  })
                         .is_ok());
     }
-    sim_.run_until_idle();
+    h.sim_.run_until_idle();
     ASSERT_EQ(failed, 0);
-    ASSERT_EQ(controller_->fault_kind(fn), FaultKind::kWriteMiss);
+    ASSERT_EQ(h.controller_.fault_kind(fn), FaultKind::kWriteMiss);
 
-    ASSERT_TRUE(controller_->mmio_write(0, reg::kMgmtVfId, fn, 8).is_ok());
-    ASSERT_TRUE(mgmt(MgmtCommand::kFailMiss));
-    sim_.run_until_idle();
+    h.pf_write(reg::kMgmtVfId, fn);
+    h.mgmt(MgmtCommand::kFailMiss);
+    h.sim_.run_until_idle();
     EXPECT_EQ(failed, 2);
 }
 
@@ -541,25 +463,25 @@ TEST_F(TranslationCacheTest, CoalescedWritesParkBehindFault)
 
 TEST_F(TranslationCacheTest, FastPathRegistersArePfOnly)
 {
-    init(fastpath_config());
+    auto &h = init(fastpath_config());
     const auto fn =
-        create_vf(striped_extents(), 256, 1, extent::TreeConfig{4});
+        h.create_vf(striped_extents(), 256, 1, extent::TreeConfig{4});
     for (std::uint64_t off :
          {reg::kBtlbGeometry, reg::kStatBtlbHits, reg::kStatBtlbMisses,
           reg::kNodeCacheBytes, reg::kStatNodeCacheHits,
           reg::kStatNodeCacheMisses, reg::kWalkCoalesce,
           reg::kStatWalkCoalesced, reg::kStatWalkReplays}) {
-        EXPECT_EQ(controller_->mmio_read(fn, off, 8).status().code(),
+        EXPECT_EQ(h.controller_.mmio_read(fn, off, 8).status().code(),
                   util::ErrorCode::kPermissionDenied)
             << off;
-        EXPECT_TRUE(controller_->mmio_read(0, off, 8).is_ok()) << off;
+        EXPECT_TRUE(h.controller_.mmio_read(0, off, 8).is_ok()) << off;
     }
-    EXPECT_EQ(controller_->mmio_write(fn, reg::kBtlbGeometry, 0, 8).code(),
+    EXPECT_EQ(h.controller_.mmio_write(fn, reg::kBtlbGeometry, 0, 8).code(),
               util::ErrorCode::kPermissionDenied);
     EXPECT_EQ(
-        controller_->mmio_write(fn, reg::kNodeCacheBytes, 0, 8).code(),
+        h.controller_.mmio_write(fn, reg::kNodeCacheBytes, 0, 8).code(),
         util::ErrorCode::kPermissionDenied);
-    EXPECT_EQ(controller_->mmio_write(fn, reg::kWalkCoalesce, 0, 8).code(),
+    EXPECT_EQ(h.controller_.mmio_write(fn, reg::kWalkCoalesce, 0, 8).code(),
               util::ErrorCode::kPermissionDenied);
 }
 
@@ -567,60 +489,54 @@ TEST_F(TranslationCacheTest, GeometryRegisterReconfigures)
 {
     ControllerConfig cfg;
     cfg.max_vfs = 4;
-    init(cfg);
-    ASSERT_TRUE(controller_->btlb().fully_associative());
+    auto &h = init(cfg);
+    ASSERT_TRUE(h.controller_.btlb().fully_associative());
 
-    ASSERT_TRUE(controller_
-                    ->mmio_write(0, reg::kBtlbGeometry,
-                                 encode_btlb_geometry(16, 4, 6), 8)
-                    .is_ok());
-    EXPECT_FALSE(controller_->btlb().fully_associative());
-    EXPECT_EQ(controller_->btlb().sets(), 16u);
-    EXPECT_EQ(controller_->btlb().ways(), 4u);
-    EXPECT_EQ(controller_->btlb().range_shift(), 6u);
+    h.pf_write(reg::kBtlbGeometry, encode_btlb_geometry(16, 4, 6));
+    EXPECT_FALSE(h.controller_.btlb().fully_associative());
+    EXPECT_EQ(h.controller_.btlb().sets(), 16u);
+    EXPECT_EQ(h.controller_.btlb().ways(), 4u);
+    EXPECT_EQ(h.controller_.btlb().range_shift(), 6u);
     // Read-back reports the live geometry.
-    EXPECT_EQ(*controller_->mmio_read(0, reg::kBtlbGeometry, 8),
+    EXPECT_EQ(*h.controller_.mmio_read(0, reg::kBtlbGeometry, 8),
               encode_btlb_geometry(16, 4, 6));
 
     // sets <= 1 returns to the paper's fully-associative mode.
-    ASSERT_TRUE(controller_
-                    ->mmio_write(0, reg::kBtlbGeometry,
-                                 encode_btlb_geometry(0, 8, 6), 8)
-                    .is_ok());
-    EXPECT_TRUE(controller_->btlb().fully_associative());
-    EXPECT_EQ(controller_->btlb().capacity(), 8u);
+    h.pf_write(reg::kBtlbGeometry, encode_btlb_geometry(0, 8, 6));
+    EXPECT_TRUE(h.controller_.btlb().fully_associative());
+    EXPECT_EQ(h.controller_.btlb().capacity(), 8u);
 }
 
 TEST_F(TranslationCacheTest, NodeCacheAndCoalesceRegisters)
 {
     ControllerConfig cfg;
     cfg.max_vfs = 4;
-    init(cfg);
-    EXPECT_FALSE(controller_->node_cache().enabled());
+    auto &h = init(cfg);
+    EXPECT_FALSE(h.controller_.node_cache().enabled());
     ASSERT_TRUE(
-        controller_->mmio_write(0, reg::kNodeCacheBytes, 32 << 10, 8)
+        h.controller_.mmio_write(0, reg::kNodeCacheBytes, 32 << 10, 8)
             .is_ok());
-    EXPECT_TRUE(controller_->node_cache().enabled());
-    EXPECT_EQ(*controller_->mmio_read(0, reg::kNodeCacheBytes, 8),
+    EXPECT_TRUE(h.controller_.node_cache().enabled());
+    EXPECT_EQ(*h.controller_.mmio_read(0, reg::kNodeCacheBytes, 8),
               std::uint64_t{32 << 10});
     ASSERT_TRUE(
-        controller_->mmio_write(0, reg::kWalkCoalesce, 512, 8).is_ok());
+        h.controller_.mmio_write(0, reg::kWalkCoalesce, 512, 8).is_ok());
 
     // Stats registers read zero before traffic.
-    EXPECT_EQ(*controller_->mmio_read(0, reg::kStatNodeCacheHits, 8), 0u);
-    EXPECT_EQ(*controller_->mmio_read(0, reg::kStatWalkCoalesced, 8), 0u);
+    EXPECT_EQ(*h.controller_.mmio_read(0, reg::kStatNodeCacheHits, 8), 0u);
+    EXPECT_EQ(*h.controller_.mmio_read(0, reg::kStatWalkCoalesced, 8), 0u);
 
     const auto fn =
-        create_vf(striped_extents(), 256, 1, extent::TreeConfig{4});
-    auto driver = make_driver(fn);
+        h.create_vf(striped_extents(), 256, 1, extent::TreeConfig{4});
+    auto driver = h.make_driver(fn);
     std::vector<std::byte> buf(1024);
     ASSERT_TRUE(driver->read_sync(0, 1, buf).is_ok());
     // A different extent misses the BTLB but walks through cached
     // interior nodes; the same vLBA again hits the BTLB.
     ASSERT_TRUE(driver->read_sync(4, 1, buf).is_ok());
     ASSERT_TRUE(driver->read_sync(0, 1, buf).is_ok());
-    EXPECT_GT(*controller_->mmio_read(0, reg::kStatNodeCacheHits, 8), 0u);
-    EXPECT_GT(*controller_->mmio_read(0, reg::kStatBtlbHits, 8), 0u);
+    EXPECT_GT(*h.controller_.mmio_read(0, reg::kStatNodeCacheHits, 8), 0u);
+    EXPECT_GT(*h.controller_.mmio_read(0, reg::kStatBtlbHits, 8), 0u);
 }
 
 TEST_F(TranslationCacheTest, WalkerPathPredictsDeviceWalk)
@@ -628,12 +544,12 @@ TEST_F(TranslationCacheTest, WalkerPathPredictsDeviceWalk)
     // The reference walker's visited-node path must match the device's
     // DMA count for the same lookup — the validation contract that
     // lets tests reason about node-cache contents.
-    init(fastpath_config());
+    auto &h = init(fastpath_config());
     const auto fn =
-        create_vf(striped_extents(), 256, 1, extent::TreeConfig{4});
-    auto driver = make_driver(fn);
+        h.create_vf(striped_extents(), 256, 1, extent::TreeConfig{4});
+    auto driver = h.make_driver(fn);
 
-    auto ref = extent::lookup(*host_memory_, trees_.back().root(), 0);
+    auto ref = extent::lookup(h.host_memory_, h.trees_.back().root(), 0);
     ASSERT_TRUE(ref.is_ok());
     ASSERT_EQ(ref->path.size(), ref->nodes_visited);
     ASSERT_GT(ref->path.size(), 1u); // multi-level at fanout 4
@@ -643,7 +559,7 @@ TEST_F(TranslationCacheTest, WalkerPathPredictsDeviceWalk)
     EXPECT_EQ(counter("walk_node_reads"), ref->nodes_visited);
     // Every visited node is now cached for this fn.
     for (pcie::HostAddr addr : ref->path)
-        EXPECT_NE(controller_->node_cache().lookup(fn, addr), nullptr);
+        EXPECT_NE(h.controller_.node_cache().lookup(fn, addr), nullptr);
 }
 
 } // namespace

@@ -9,9 +9,7 @@
 #include <span>
 #include <vector>
 
-#include "nesc/controller.h"
-#include "pcie/interrupts.h"
-#include "storage/mem_block_device.h"
+#include "controller_rig.h"
 #include "util/journal_checksum.h"
 #include "util/log.h"
 #include "util/rng.h"
@@ -288,16 +286,6 @@ TEST(Sampler, InterleavedAddAndQuery)
     EXPECT_DOUBLE_EQ(s.median(), 20.0);
 }
 
-TEST(CounterGroup, AutoCreatesAtZero)
-{
-    CounterGroup g;
-    EXPECT_EQ(g.get("nothing"), 0u);
-    g["hits"] += 3;
-    g["hits"] += 2;
-    EXPECT_EQ(g.get("hits"), 5u);
-    EXPECT_EQ(g.to_string(), "hits=5");
-}
-
 // --- Table --------------------------------------------------------------
 
 TEST(Table, AlignsColumns)
@@ -393,18 +381,12 @@ TEST_F(LogTest, ControllerWarnPathIsObservableThroughTheSink)
 {
     // A doorbell with no command ring programmed must produce the
     // controller's warn diagnostic, tagged with its component.
-    sim::Simulator sim;
-    pcie::HostMemory host_memory(8 << 20);
-    storage::MemBlockDeviceConfig device_config;
-    device_config.capacity_bytes = 4 << 20;
-    storage::MemBlockDevice device(device_config);
-    pcie::InterruptController irq(sim);
-    ctrl::Controller controller(sim, host_memory, device, irq,
-                                ctrl::ControllerConfig{});
+    test::ControllerRig h(
+        {.host_memory_bytes = 8 << 20, .media_bytes = 4 << 20, .config = {}});
     ScopedLogSink sink;
     ASSERT_TRUE(
-        controller.mmio_write(0, ctrl::reg::kDoorbell, 1, 8).is_ok());
-    sim.run_until_idle();
+        h.controller_.mmio_write(0, ctrl::reg::kDoorbell, 1, 8).is_ok());
+    h.sim_.run_until_idle();
     EXPECT_TRUE(sink.contains("doorbell with no command ring"));
     ASSERT_FALSE(sink.records().empty());
     EXPECT_EQ(sink.records()[0].component, "controller");
